@@ -16,7 +16,6 @@ from .core import (
     extract_lcs,
     lcs_length,
     lcs_reconstruct,
-    lcs_vector_scan,
     validate_common_subsequence,
 )
 from .matching import (

@@ -13,6 +13,7 @@ import sys
 from . import bench as bench_mod
 from .core import (
     DEFAULT_TRACE_CAP,
+    DpCapError,
     ReconstructionCapError,
     dp_oracle,
     lcs_length,
@@ -118,13 +119,7 @@ def cmd_verify(args) -> int:
     pl = build_position_lists(y)
     lengths: dict[str, int] = {}
     for backend in ("veb", "tree", "array"):
-        lengths[backend] = lcs_length(
-            x,
-            y,
-            backend=backend,
-            position_lists=pl,
-            literal_guard=(args.simulate_literal_guard and backend == "veb"),
-        ).length
+        lengths[backend] = lcs_length(x, y, backend=backend, position_lists=pl).length
     table = dp_oracle(x, y)
     lengths["dp_oracle"] = int(table[len(x)][len(y)])
     recon = lcs_reconstruct(x, y, position_lists=pl)
@@ -196,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check all backends and invariants")
     add_common(p)
-    p.add_argument("--simulate-literal-guard", action="store_true",
-                   help=argparse.SUPPRESS)  # test-only corrupted-build hook
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the benchmark suite")
@@ -220,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReconstructionCapError as exc:
+    except (ReconstructionCapError, DpCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OSError as exc:

@@ -25,7 +25,6 @@ __all__ = [
     "DpCapError",
     "lcs_length",
     "lcs_reconstruct",
-    "lcs_vector_scan",
     "extract_lcs",
     "dp_oracle",
     "dp_traceback",
@@ -62,14 +61,12 @@ class TraceTable:
     predecessor[k] is the match number of the chain predecessor (0 =
     none); column[k] is the matched column; occupant[j] is the match
     number currently holding column j in the threshold set (index 0 is
-    the zero sentinel); row[k] is the match's row, kept for chain
-    diagnostics.
+    the zero sentinel).
     """
 
     predecessor: list[int]
     column: list[int]
     occupant: list[int]
-    row: list[int]
     count: int = 0
 
 
@@ -95,12 +92,18 @@ def _empty_result(x: Sequence, pl: PositionLists, backend: str, r: int) -> LcsRe
     )
 
 
+def _check_op_budget(counters: OpCounters, r: int) -> None:
+    """At most four structure operations per match (succ, pred, insert, delete)."""
+    ops = counters.structure_total()
+    if ops > 4 * r:
+        raise RuntimeError(f"{ops} structure operations for R = {r} exceeds 4R")
+
+
 def lcs_length(
     x: Sequence,
     y: Sequence,
     backend: str = "veb",
     position_lists: PositionLists | None = None,
-    literal_guard: bool = False,
 ) -> LcsResult:
     """LCS length of x and y via the chosen threshold-set backend."""
     pl = position_lists if position_lists is not None else build_position_lists(y)
@@ -108,7 +111,7 @@ def lcs_length(
     if stats.r == 0:
         return _empty_result(x, pl, backend, 0)
     t0 = time.perf_counter_ns()
-    ts = make_threshold_set(pl.length, backend, literal_guard=literal_guard)
+    ts = make_threshold_set(pl.length, backend)
     lists = pl.lists
     for sym in x.symbols:
         positions = lists.get(sym)
@@ -119,8 +122,7 @@ def lcs_length(
             ts.update(j)
     length = ts.size()
     wall = time.perf_counter_ns() - t0
-    if not literal_guard:
-        assert ts.counters.structure_total() <= 4 * stats.r
+    _check_op_budget(ts.counters, stats.r)
     stats.l = length
     return LcsResult(
         length=length,
@@ -131,13 +133,6 @@ def lcs_length(
         row_costs=ts.row_costs() if isinstance(ts, ArrayBackend) else None,
         wall_ns=wall,
     )
-
-
-def lcs_vector_scan(
-    x: Sequence, y: Sequence, position_lists: PositionLists | None = None
-) -> LcsResult:
-    """Length-only driver on the ordered-vector backend."""
-    return lcs_length(x, y, backend="array", position_lists=position_lists)
 
 
 def lcs_reconstruct(
@@ -162,17 +157,13 @@ def lcs_reconstruct(
         predecessor=[0] * (stats.r + 1),
         column=[0] * (stats.r + 1),
         occupant=[0] * (n + 1),
-        row=[0] * (stats.r + 1),
     )
     pred_k = trace.predecessor
     col_k = trace.column
     occ = trace.occupant
-    row_k = trace.row
     lists = pl.lists
     m = 0
-    row = 0
     for sym in x.symbols:
-        row += 1
         positions = lists.get(sym)
         if not positions:
             continue
@@ -183,14 +174,14 @@ def lcs_reconstruct(
             pred_k[m] = occ[p]
             col_k[m] = j
             occ[j] = m
-            row_k[m] = row
     trace.count = m
     length = ts.tree.population
     top = ts.tree.max
     subseq = extract_lcs(trace, occ[top] if top else 0, y)
     wall = time.perf_counter_ns() - t0
-    assert ts.counters.structure_total() <= 4 * stats.r
-    assert len(subseq) == length
+    _check_op_budget(ts.counters, stats.r)
+    if len(subseq) != length:
+        raise RuntimeError(f"extracted {len(subseq)} symbols for L = {length}")
     stats.l = length
     return LcsResult(
         length=length,

@@ -84,7 +84,6 @@ class PositionLists:
 
     lists: dict[int, list[int]]
     length: int
-    scan_visits: int = 0  # symbols touched while building; equals length
 
     def positions(self, symbol: int) -> list[int]:
         return self.lists.get(symbol, [])
@@ -101,11 +100,9 @@ class MatchStats:
 def build_position_lists(y: Sequence) -> PositionLists:
     """Single scan of Y; lists come out largest-position-first."""
     lists: dict[int, list[int]] = {}
-    visits = 0
     for pos in range(len(y.symbols), 0, -1):
-        visits += 1
         lists.setdefault(y.symbols[pos - 1], []).append(pos)
-    return PositionLists(lists=lists, length=len(y.symbols), scan_visits=visits)
+    return PositionLists(lists=lists, length=len(y.symbols))
 
 
 def count_matches(x: Sequence, pl: PositionLists) -> MatchStats:

@@ -40,7 +40,6 @@ BACKEND_NAMES = ("veb", "tree", "array")
 
 @dataclass
 class OpCounters:
-    size: int = 0
     succ: int = 0
     pred: int = 0
     insert: int = 0
@@ -81,10 +80,6 @@ class ThresholdSet:
         raise NotImplementedError
 
     def _delete(self, x: int) -> None:
-        raise NotImplementedError
-
-    def _max(self) -> int:
-        """Largest member, or 0 when empty."""
         raise NotImplementedError
 
     # -- public operations ----------------------------------------------
@@ -134,21 +129,13 @@ class ThresholdSet:
 
 
 class VebBackend(ThresholdSet):
-    """Threshold set on a van Emde Boas tree over universe capacity+1.
+    """Threshold set on a van Emde Boas tree over universe capacity+1."""
 
-    ``literal_guard=True`` reproduces a published-pseudocode variant that
-    skips the delete when the successor equals the current maximum; it is
-    deliberately faulty (it can over-grow the set) and exists only so the
-    verification tooling can demonstrate the discrepancy.
-    """
-
-    def __init__(self, capacity: int, literal_guard: bool = False):
+    def __init__(self, capacity: int):
         super().__init__(capacity)
         self.tree = VebTree(capacity + 1)
-        self.literal_guard = literal_guard
 
     def size(self) -> int:
-        self.counters.size += 1
         return self.tree.population
 
     def _succ(self, x: int) -> int:
@@ -163,26 +150,6 @@ class VebBackend(ThresholdSet):
     def _delete(self, x: int) -> None:
         self.tree.delete(x)
 
-    def _max(self) -> int:
-        return self.tree.max or 0
-
-    def update(self, x: int) -> int | None:
-        if not self.literal_guard:
-            return super().update(x)
-        if not 1 <= x <= self.capacity:
-            raise ValueError(f"update argument {x} outside 1..{self.capacity}")
-        self.counters.update += 1
-        self.counters.succ += 1
-        k = self._succ(x - 1)
-        replaced = None
-        if k and k < self._max():
-            self.counters.delete += 1
-            self._delete(k)
-            replaced = k
-        self.counters.insert += 1
-        self._insert(x)
-        return replaced
-
     def contents(self) -> list[int]:
         return list(self.tree)
 
@@ -193,33 +160,21 @@ class TreeBackend(ThresholdSet):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self.tree = AvlTree()
-        self.max_height_seen = 0
-
-    def _note_height(self) -> None:
-        if self.tree.height > self.max_height_seen:
-            self.max_height_seen = self.tree.height
 
     def size(self) -> int:
-        self.counters.size += 1
         return len(self.tree)
 
     def _succ(self, x: int) -> int:
-        self._note_height()
         return self.tree.successor(x) or 0
 
     def _pred(self, x: int) -> int:
-        self._note_height()
         return self.tree.predecessor(x) or 0
 
     def _insert(self, x: int) -> None:
         self.tree.insert(x)
-        self._note_height()
 
     def _delete(self, x: int) -> None:
         self.tree.delete(x)
-
-    def _max(self) -> int:
-        return self.tree.max() or 0
 
     def contents(self) -> list[int]:
         return list(self.tree)
@@ -248,7 +203,6 @@ class ArrayBackend(ThresholdSet):
         self._row_open = False
 
     def size(self) -> int:
-        self.counters.size += 1
         return self._alpha
 
     def _succ(self, x: int) -> int:
@@ -259,32 +213,24 @@ class ArrayBackend(ThresholdSet):
         i = bisect_left(self._s, x, 0, self._alpha)
         return self._s[i - 1] if i > 0 else 0
 
-    def _max(self) -> int:
-        return self._s[self._alpha - 1] if self._alpha else 0
+    def _row_cost(self) -> RowCost:
+        return RowCost(self._row_alpha_start, self._row_updates, self._row_comparisons)
 
     def begin_row(self) -> None:
-        self._flush_row()
+        if self._row_open:
+            self._row_costs.append(self._row_cost())
+        self._row_updates = 0
+        self._row_comparisons = 0
         self._cursor = self._alpha - 1
         self._last_x = None
         self._row_alpha_start = self._alpha
         self._row_open = True
 
-    def _flush_row(self) -> None:
-        if self._row_open:
-            self._row_costs.append(
-                RowCost(self._row_alpha_start, self._row_updates, self._row_comparisons)
-            )
-        self._row_updates = 0
-        self._row_comparisons = 0
-
     def row_costs(self) -> list[RowCost]:
         """Per-row cost records, including the still-open row."""
-        out = list(self._row_costs)
         if self._row_open:
-            out.append(
-                RowCost(self._row_alpha_start, self._row_updates, self._row_comparisons)
-            )
-        return out
+            return self._row_costs + [self._row_cost()]
+        return list(self._row_costs)
 
     def update(self, x: int) -> int | None:
         if not 1 <= x <= self.capacity:
@@ -298,12 +244,11 @@ class ArrayBackend(ThresholdSet):
                 self._row_alpha_start = self._alpha
                 self._row_open = True
         s = self._s
-        k = self._cursor
-        while k >= 0:
-            self._row_comparisons += 1
-            if s[k] < x:
-                break
+        k0 = k = self._cursor
+        while k >= 0 and s[k] >= x:
             k -= 1
+        # one comparison per element stepped over, plus the one that stopped it
+        self._row_comparisons += k0 - k + (k >= 0)
         slot = k + 1
         if slot == self._alpha:
             s.append(x)
@@ -323,13 +268,9 @@ class ArrayBackend(ThresholdSet):
         return self._s[: self._alpha]
 
 
-def make_threshold_set(
-    capacity: int, backend: str, literal_guard: bool = False
-) -> ThresholdSet:
+def make_threshold_set(capacity: int, backend: str) -> ThresholdSet:
     if backend == "veb":
-        return VebBackend(capacity, literal_guard=literal_guard)
-    if literal_guard:
-        raise ValueError("literal_guard is only supported by the veb backend")
+        return VebBackend(capacity)
     if backend == "tree":
         return TreeBackend(capacity)
     if backend == "array":

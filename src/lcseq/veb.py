@@ -9,7 +9,11 @@ min/max.
 The minimum of a node is kept only in the node's cache, never stored
 recursively, so insert and delete make at most one non-trivial
 recursive call.  Clusters are allocated lazily on first insert and
-freed when emptied, keeping memory proportional to the occupied keys.
+kept when they empty: an empty cluster has ``min is None``, which every
+query already reads as empty, and a later insert into the same cluster
+reuses it.  Memory is therefore bounded by the distinct keys ever
+inserted, not by the keys currently stored; for the LCS threshold set
+that is at most min(R, n) keys.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class VebTree:
         self.summary: VebTree | None = None
         self.clusters: dict[int, VebTree] = {}
         self.population = 0
-        assert _depth_of(self.universe_bound) <= _depth_bound(self.universe_bound)
 
     def _check(self, x: int) -> None:
         if not 0 <= x < self.universe_bound:
@@ -145,7 +148,6 @@ class VebTree:
             return False
         if cluster.min is None:
             self.summary._delete(h)
-            del self.clusters[h]
             if x == self.max:
                 s_max = self.summary.max
                 if s_max is None:
@@ -211,17 +213,3 @@ class VebTree:
                 return
             x = self._succ(x)
 
-
-def _depth_of(universe_bound: int) -> int:
-    depth = 0
-    bits = universe_bound.bit_length() - 1
-    while bits > 1:
-        bits -= bits >> 1  # upper half goes to the summary side
-        depth += 1
-    return depth
-
-
-def _depth_bound(universe_bound: int) -> int:
-    bits = universe_bound.bit_length() - 1
-    loglog = max(bits, 1).bit_length()
-    return loglog + 2

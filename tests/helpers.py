@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
+import sys
 from bisect import bisect_right, insort
+from pathlib import Path
 
 from lcseq.matching import Sequence
+from lcseq.threshold import VebBackend
 
 
 def brute_force_lcs_length(x: Sequence, y: Sequence) -> int:
@@ -78,3 +82,47 @@ def reference_update(contents: list[int], x: int) -> int | None:
         return succ
     insort(contents, x)
     return None
+
+
+class LiteralGuardVebBackend(VebBackend):
+    """vEB threshold set with the published pseudocode's guard k < Max(S).
+
+    The guard skips the delete when the successor is the current maximum,
+    so the set can over-grow.  Deliberately faulty: tests inject it to show
+    that verification catches a wrong backend.
+    """
+
+    def update(self, x: int) -> int | None:
+        if not 1 <= x <= self.capacity:
+            raise ValueError(f"update argument {x} outside 1..{self.capacity}")
+        self.counters.update += 1
+        self.counters.succ += 1
+        k = self._succ(x - 1)
+        replaced = None
+        if k and k < (self.tree.max or 0):
+            self.counters.delete += 1
+            self._delete(k)
+            replaced = k
+        self.counters.insert += 1
+        self._insert(x)
+        return replaced
+
+
+_LITERAL_GUARD_CLI = """\
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+import lcseq.threshold
+from helpers import LiteralGuardVebBackend
+lcseq.threshold.VebBackend = LiteralGuardVebBackend
+from lcseq.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_cli_with_literal_guard(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose veb threshold sets are the faulty variant."""
+    return subprocess.run(
+        [sys.executable, "-c", _LITERAL_GUARD_CLI, str(Path(__file__).parent), *args],
+        capture_output=True,
+        timeout=120,
+    )

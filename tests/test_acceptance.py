@@ -26,7 +26,7 @@ from lcseq.matching import Sequence, build_position_lists
 from lcseq.shadow import ShadowTracker, shadow_run
 from lcseq.veb import VebTree
 
-from helpers import SortedSetOracle
+from helpers import SortedSetOracle, run_cli_with_literal_guard
 
 
 def report(criterion: int, detail: str) -> None:
@@ -246,7 +246,7 @@ def test_criterion_8_cli_end_to_end(tmp_path):
     fa, fb = pair(b"abcbdab", b"bdcaba")
     assert _run("verify", fa, fb).returncode == 0
     wa, wb = pair(b"ab", b"ba")
-    assert _run("verify", wa, wb, "--simulate-literal-guard").returncode == 1
+    assert run_cli_with_literal_guard("verify", wa, wb).returncode == 1
     assert _run("length", str(tmp_path / "nope"), fb).returncode == 2
     ca, cb = pair(b"aaaa", b"aaaa")
     assert _run("subseq", ca, cb, "--memory-cap", "8").returncode == 3

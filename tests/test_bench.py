@@ -95,11 +95,13 @@ def test_tree_backend_depth_bound_in_driver():
     x, y = bench.gen_pair(case)
     pl = build_position_lists(y)
     ts = TreeBackend(len(y))
+    max_height = 0
     for sym in x.symbols:
         for j in pl.positions(sym):
             ts.update(j)
+            max_height = max(max_height, ts.tree.height)
     size = ts.size()
-    assert ts.max_height_seen <= 2 * math.log2(size + 2) + 2
+    assert max_height <= 2 * math.log2(size + 2) + 2
 
 
 def test_array_aggregate_comparison_bound():

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from helpers import run_cli_with_literal_guard
+
 CLI = [sys.executable, "-m", "lcseq.cli"]
 
 
@@ -150,9 +152,21 @@ def test_verify_literal_guard_witness(tmp_path):
     # the published guard k < Max(S) skips a mandatory replacement when the
     # successor is the maximum; "ab" vs "ba" exposes the overcount
     fa, fb = write_pair(tmp_path, b"ab", b"ba")
-    proc = run_cli("verify", fa, fb, "--simulate-literal-guard")
+    proc = run_cli_with_literal_guard("verify", fa, fb)
     assert proc.returncode == 1
     assert b"disagreement" in proc.stderr
+
+
+def test_verify_above_dense_cap_is_resource_error(tmp_path):
+    # (8200 + 1)^2 cells exceed the dense oracle's 2^26 cap
+    lines = [b"line %d" % i for i in range(8200)]
+    edited = list(lines)
+    edited[100] = b"changed"
+    fa, fb = write_pair(tmp_path, b"\n".join(lines), b"\n".join(edited))
+    proc = run_cli("verify", fa, fb, "--mode", "lines")
+    assert proc.returncode == 3
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"error: ")
 
 
 def test_bench_csv():

@@ -13,7 +13,6 @@ from lcseq.core import (
     extract_lcs,
     lcs_length,
     lcs_reconstruct,
-    lcs_vector_scan,
     validate_common_subsequence,
 )
 from lcseq.matching import Sequence, build_position_lists, from_text
@@ -36,11 +35,14 @@ def test_length_examples(backend):
 
 
 def test_vector_scan_examples():
-    assert lcs_vector_scan(from_text("abcbdab"), from_text("bdcaba")).length == 4
-    assert lcs_vector_scan(from_text("abab"), from_text("abab")).length == 4
+    def scan(a, b):
+        return lcs_length(from_text(a), from_text(b), backend="array").length
+
+    assert scan("abcbdab", "bdcaba") == 4
+    assert scan("abab", "abab") == 4
     # brute force over all common subsequences gives 1 here
     assert brute_force_lcs_length(from_text("ba"), from_text("ab")) == 1
-    assert lcs_vector_scan(from_text("ba"), from_text("ab")).length == 1
+    assert scan("ba", "ab") == 1
 
 
 def test_reconstruct_examples():
@@ -58,19 +60,17 @@ def test_reconstruct_examples():
 
 
 def test_extract_lcs_base_case():
-    trace = TraceTable(predecessor=[0], column=[0], occupant=[0], row=[0])
+    trace = TraceTable(predecessor=[0], column=[0], occupant=[0])
     assert extract_lcs(trace, 0, from_text("bdcaba")) == ()
 
 
 def test_extract_lcs_single_match():
-    trace = TraceTable(predecessor=[0, 0], column=[0, 3], occupant=[0], row=[0, 1])
+    trace = TraceTable(predecessor=[0, 0], column=[0, 3], occupant=[0])
     assert bytes(extract_lcs(trace, 1, from_text("bdcaba"))) == b"c"
 
 
 def test_extract_lcs_chain():
-    trace = TraceTable(
-        predecessor=[0, 0, 1], column=[0, 2, 5], occupant=[0], row=[0, 1, 2]
-    )
+    trace = TraceTable(predecessor=[0, 0, 1], column=[0, 2, 5], occupant=[0])
     assert bytes(extract_lcs(trace, 2, from_text("bdcaba"))) == b"db"
 
 
@@ -190,11 +190,17 @@ def test_chain_geometry():
         trace = res.trace
         if trace is None:
             continue
+        # matches are numbered row by row in enumeration order
+        pl = build_position_lists(y)
+        row = [0]
+        for i, sym in enumerate(x.symbols, start=1):
+            row.extend([i] * len(pl.positions(sym)))
+        assert len(row) == trace.count + 1
         for k in range(1, trace.count + 1):
             p = trace.predecessor[k]
             if p:
                 assert trace.column[p] < trace.column[k]
-                assert trace.row[p] < trace.row[k]
+                assert row[p] < row[k]
 
 
 def test_reconstruction_memory_cap():

@@ -61,12 +61,6 @@ def test_position_lists_uniform_and_empty():
     assert pl.lists == {}
 
 
-def test_position_lists_single_pass():
-    y = from_text("bdcaba")
-    pl = build_position_lists(y)
-    assert pl.scan_visits == len(y)
-
-
 def test_position_lists_strictly_decreasing():
     rng = random.Random(1)
     y = Sequence(tuple(rng.randrange(5) for _ in range(200)))

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from lcseq.threshold import (
     BACKEND_NAMES,
     ArrayBackend,
+    RowCost,
     TreeBackend,
     VebBackend,
     make_threshold_set,
 )
 
-from helpers import reference_update
+from helpers import LiteralGuardVebBackend, reference_update
 
 ALL_BACKENDS = list(BACKEND_NAMES)
 
@@ -178,6 +179,17 @@ def test_array_row_cost_bound():
         assert rc.comparisons <= rc.alpha_start + rc.updates + 1
 
 
+def test_array_row_cost_exact():
+    # S = [2, 3, 6]; update(5) compares 6 then 3 and replaces 6; update(1)
+    # resumes at 3, compares 3 then 2 and runs off the bottom: 2 + 2
+    ts = seeded([2, 3, 6], backend="array")
+    ts.begin_row()
+    assert ts.update(5) == 6
+    assert ts.update(1) == 2
+    assert ts.contents() == [1, 3, 5]
+    assert ts.row_costs()[-1] == RowCost(alpha_start=3, updates=2, comparisons=4)
+
+
 def test_array_out_of_order_updates_still_correct():
     n = 64
     rng = random.Random(17)
@@ -201,17 +213,12 @@ def test_literal_guard_is_faulty_on_witness():
     # successor equal to the maximum must still be replaced; the literal
     # pseudocode guard skips the delete and over-grows the set
     good = VebBackend(2)
-    bad = VebBackend(2, literal_guard=True)
+    bad = LiteralGuardVebBackend(2)
     for ts in (good, bad):
         ts.update(2)
         ts.update(1)
     assert good.contents() == [1]
     assert bad.contents() == [1, 2]
-
-
-def test_literal_guard_only_for_veb():
-    with pytest.raises(ValueError):
-        make_threshold_set(4, "array", literal_guard=True)
 
 
 @settings(max_examples=200, deadline=None)

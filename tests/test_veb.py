@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcseq.veb import VebTree, _depth_bound, _depth_of
+from lcseq.veb import VebTree
 
 from helpers import SortedSetOracle
 
@@ -159,6 +159,36 @@ def test_succ_pred_duality():
         assert not any(x < v < s for v in members)
         back = tree.predecessor(s)
         assert back == (x if x in members else tree.predecessor(x))
+
+
+def test_cluster_reused_after_emptying():
+    tree = make([0, 5, 6], universe=16)  # 5 and 6 share cluster 1 of 4 keys
+    cluster = tree.clusters[1]
+    tree.delete(5)
+    tree.delete(6)
+    assert cluster.min is None
+    assert list(tree) == [0]
+    _check_population(tree)
+    tree.insert(6)
+    tree.insert(5)
+    assert tree.clusters[1] is cluster
+    assert list(tree) == [0, 5, 6]
+    _check_population(tree)
+
+
+def _depth_of(universe_bound: int) -> int:
+    depth = 0
+    bits = universe_bound.bit_length() - 1
+    while bits > 1:
+        bits -= bits >> 1  # upper half goes to the summary side
+        depth += 1
+    return depth
+
+
+def _depth_bound(universe_bound: int) -> int:
+    bits = universe_bound.bit_length() - 1
+    loglog = max(bits, 1).bit_length()
+    return loglog + 2
 
 
 def test_depth_bound():
