@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .core import dp_oracle, lcs_length
 from .matching import Sequence, build_position_lists, count_matches
+from .threshold import OpCounters
 
 __all__ = [
     "BenchCase",
@@ -49,7 +50,6 @@ REPORT_COLUMNS = (
     "ops_insert",
     "ops_delete",
     "ops_update",
-    "peak_trace_entries",
 )
 
 
@@ -92,7 +92,6 @@ class BenchRecord:
     ops_insert: int
     ops_delete: int
     ops_update: int
-    peak_trace_entries: int
 
 
 def _uniform(n: int, sigma: int, rng: random.Random) -> tuple[int, ...]:
@@ -140,6 +139,8 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
     """Run every enabled backend per case; min-of-repeats timing."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if any("dp_oracle" in case.backends for case in cases):
+        import numpy  # noqa: F401  (dp_oracle imports it lazily; keep that out of time_ns)
     records: list[BenchRecord] = []
     for case in cases:
         x, y = gen_pair(case)
@@ -148,24 +149,20 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
         lengths: dict[str, int] = {}
         for backend in case.backends:
             best_ns = None
-            result = None
             for _ in range(repeats):
+                t0 = time.perf_counter_ns()
                 if backend == "dp_oracle":
-                    t0 = time.perf_counter_ns()
                     table = dp_oracle(x, y)
-                    wall = time.perf_counter_ns() - t0
-                    length = int(table[len(x.symbols)][len(y.symbols)])
-                    counters = None
                 else:
                     res = lcs_length(x, y, backend=backend, position_lists=pl)
-                    wall = res.wall_ns
-                    length = res.length
-                    counters = res.counters
-                    result = res
+                wall = time.perf_counter_ns() - t0
                 if best_ns is None or wall < best_ns:
                     best_ns = wall
+            if backend == "dp_oracle":
+                length, c = int(table[len(x.symbols)][len(y.symbols)]), OpCounters()
+            else:
+                length, c = res.length, res.counters
             lengths[backend] = length
-            c = counters
             records.append(
                 BenchRecord(
                     case_id=case.case_id,
@@ -178,12 +175,11 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
                     R=r,
                     L=length,
                     time_ns=best_ns,
-                    ops_succ=c.succ if c else 0,
-                    ops_pred=c.pred if c else 0,
-                    ops_insert=c.insert if c else 0,
-                    ops_delete=c.delete if c else 0,
-                    ops_update=c.update if c else 0,
-                    peak_trace_entries=0,
+                    ops_succ=c.succ,
+                    ops_pred=c.pred,
+                    ops_insert=c.insert,
+                    ops_delete=c.delete,
+                    ops_update=c.update,
                 )
             )
         if len(set(lengths.values())) > 1:

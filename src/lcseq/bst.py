@@ -1,7 +1,7 @@
 """Self-balancing (AVL) search tree over integer keys.
 
 Supports the dictionary operations the threshold set needs: insert,
-delete, membership, min/max, successor and predecessor, each in
+delete, membership, max, successor and predecessor, each in
 O(log size).  Keys are unique; satellite data is out of scope.
 """
 
@@ -122,15 +122,9 @@ class AvlTree:
             node.right = self._delete(node.right, succ.key)
         return _balance(node)
 
-    def min(self) -> int | None:
-        node = self._root
-        if node is None:
-            return None
-        while node.left is not None:
-            node = node.left
-        return node.key
-
+    @property
     def max(self) -> int | None:
+        """Largest stored key, or None (an attribute, as on VebTree)."""
         node = self._root
         if node is None:
             return None

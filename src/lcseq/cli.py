@@ -22,6 +22,7 @@ from .core import (
 )
 from .matching import MODES, Sequence, SymbolTable, build_position_lists, count_matches, tokenize
 from .shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, shadow_run
+from .threshold import BACKEND_NAMES
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -45,14 +46,6 @@ def _load_pair(args) -> tuple[Sequence, Sequence, SymbolTable | None]:
     return x, y, table
 
 
-def _pick_backend(backend: str, x: Sequence, y: Sequence) -> str:
-    if backend != "auto":
-        return backend
-    # large alphabets keep L small relative to R/n; the linear scan wins there
-    sigma = len(set(x.symbols) | set(y.symbols))
-    return "array" if sigma > 16 else "veb"
-
-
 def _emit(payload: dict, output: str, text_lines: list[str]) -> None:
     if output == "json":
         print(json.dumps(payload))
@@ -69,7 +62,8 @@ def _render_tokens(tokens, mode: str, table: SymbolTable | None) -> str:
 
 def cmd_length(args) -> int:
     x, y, _ = _load_pair(args)
-    backend = _pick_backend(args.backend, x, y)
+    # the sorted vector is the fastest measured backend on every workload
+    backend = "array" if args.backend == "auto" else args.backend
     result = lcs_length(x, y, backend=backend)
     payload = {
         "m": len(x),
@@ -118,17 +112,21 @@ def cmd_verify(args) -> int:
     x, y, _ = _load_pair(args)
     pl = build_position_lists(y)
     lengths: dict[str, int] = {}
-    for backend in ("veb", "tree", "array"):
+    for backend in BACKEND_NAMES:
         lengths[backend] = lcs_length(x, y, backend=backend, position_lists=pl).length
     table = dp_oracle(x, y)
     lengths["dp_oracle"] = int(table[len(x)][len(y)])
-    recon = lcs_reconstruct(x, y, position_lists=pl)
-    lengths["reconstruct"] = recon.length
     failures = []
+    try:
+        recon = lcs_reconstruct(x, y, position_lists=pl, memory_cap=args.memory_cap)
+    except RuntimeError as exc:
+        failures.append(f"reconstruction: {exc}")
+    else:
+        lengths["reconstruct"] = recon.length
+        if not validate_common_subsequence(recon.subsequence, x, y, lengths["dp_oracle"]):
+            failures.append("reconstructed subsequence failed the structural check")
     if len(set(lengths.values())) > 1:
         failures.append(f"length disagreement: {lengths}")
-    if not validate_common_subsequence(recon.subsequence, x, y, lengths["dp_oracle"]):
-        failures.append("reconstructed subsequence failed the structural check")
     if len(x) <= DEFAULT_SHADOW_LIMIT and len(y) <= DEFAULT_SHADOW_LIMIT:
         try:
             shadow_run(x, y, position_lists=pl)
@@ -152,7 +150,7 @@ def cmd_bench(args) -> int:
         backends=backends,
     )
     records = bench_mod.run_bench(cases, repeats=args.repeats)
-    fmt = "json" if (args.json or args.output == "json") else "csv"
+    fmt = "json" if args.output == "json" else "csv"
     sys.stdout.write(bench_mod.emit_report(records, fmt))
     if fmt == "json":
         sys.stdout.write("\n")
@@ -166,35 +164,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, inputs=True):
-        if inputs:
-            p.add_argument("inputs", nargs=2, metavar="INPUT",
-                           help="two file paths ('-' = stdin, first input only)")
+    def add_inputs(p):
+        p.add_argument("inputs", nargs=2, metavar="INPUT",
+                       help="two file paths ('-' = stdin, first input only)")
         p.add_argument("--mode", choices=MODES, default="bytes")
+
+    def add_output(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
+
+    def add_memory_cap(p):
         p.add_argument("--memory-cap", type=int, default=DEFAULT_TRACE_CAP,
                        dest="memory_cap")
 
     p = sub.add_parser("length", help="LCS length")
-    add_common(p)
-    p.add_argument("--backend", choices=("veb", "tree", "array", "auto"),
-                   default="auto")
+    add_inputs(p)
+    add_output(p)
+    p.add_argument("--backend", choices=(*BACKEND_NAMES, "auto"), default="auto")
     p.set_defaults(func=cmd_length)
 
     p = sub.add_parser("subseq", help="print one LCS")
-    add_common(p)
+    add_inputs(p)
+    add_output(p)
+    add_memory_cap(p)
     p.set_defaults(func=cmd_subseq)
 
     p = sub.add_parser("stats", help="sequence and match statistics")
-    add_common(p)
+    add_inputs(p)
+    add_output(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("verify", help="cross-check all backends and invariants")
-    add_common(p)
+    add_inputs(p)
+    add_memory_cap(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the benchmark suite")
-    add_common(p, inputs=False)
+    add_output(p)
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--sigma", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
@@ -202,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="uniform_random")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--backend", default="veb,tree,array")
-    p.add_argument("--json", action="store_true",
-                   help="emit a JSON array instead of CSV")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -10,13 +10,14 @@ O(L).  A dense Wagner-Fischer table serves as the independent oracle.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .matching import MatchStats, PositionLists, Sequence, build_position_lists, count_matches
-from .threshold import ArrayBackend, OpCounters, RowCost, VebBackend, make_threshold_set
+from .threshold import ArrayBackend, OpCounters, RowCost, make_threshold_set
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TraceTable",
@@ -79,7 +80,6 @@ class LcsResult:
     backend: str
     row_costs: list[RowCost] | None = None
     trace: TraceTable | None = None
-    wall_ns: int = 0
 
 
 def _empty_result(x: Sequence, pl: PositionLists, backend: str, r: int) -> LcsResult:
@@ -110,7 +110,6 @@ def lcs_length(
     stats = count_matches(x, pl)
     if stats.r == 0:
         return _empty_result(x, pl, backend, 0)
-    t0 = time.perf_counter_ns()
     ts = make_threshold_set(pl.length, backend)
     lists = pl.lists
     for sym in x.symbols:
@@ -121,7 +120,6 @@ def lcs_length(
         for j in positions:
             ts.update(j)
     length = ts.size()
-    wall = time.perf_counter_ns() - t0
     _check_op_budget(ts.counters, stats.r)
     stats.l = length
     return LcsResult(
@@ -131,7 +129,6 @@ def lcs_length(
         counters=ts.counters,
         backend=backend,
         row_costs=ts.row_costs() if isinstance(ts, ArrayBackend) else None,
-        wall_ns=wall,
     )
 
 
@@ -150,9 +147,8 @@ def lcs_reconstruct(
         return result
     if stats.r > memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap)
-    t0 = time.perf_counter_ns()
     n = pl.length
-    ts = VebBackend(n)
+    ts = make_threshold_set(n, "veb")
     trace = TraceTable(
         predecessor=[0] * (stats.r + 1),
         column=[0] * (stats.r + 1),
@@ -175,10 +171,8 @@ def lcs_reconstruct(
             col_k[m] = j
             occ[j] = m
     trace.count = m
-    length = ts.tree.population
-    top = ts.tree.max
-    subseq = extract_lcs(trace, occ[top] if top else 0, y)
-    wall = time.perf_counter_ns() - t0
+    length = ts.size()
+    subseq = extract_lcs(trace, occ[ts.max()], y)
     _check_op_budget(ts.counters, stats.r)
     if len(subseq) != length:
         raise RuntimeError(f"extracted {len(subseq)} symbols for L = {length}")
@@ -190,7 +184,6 @@ def lcs_reconstruct(
         counters=ts.counters,
         backend="veb",
         trace=trace,
-        wall_ns=wall,
     )
 
 
@@ -211,6 +204,9 @@ def dp_oracle(
     m, n = len(x.symbols), len(y.symbols)
     if (m + 1) * (n + 1) > cap:
         raise DpCapError((m + 1) * (n + 1), cap)
+    # imported here so that only the oracle pays numpy's import time
+    import numpy as np
+
     ys = np.asarray(y.symbols, dtype=np.int64) if n else np.empty(0, dtype=np.int64)
     table = np.zeros((m + 1, n + 1), dtype=np.int32)
     for i in range(1, m + 1):

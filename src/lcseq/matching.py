@@ -16,7 +16,6 @@ __all__ = [
     "PositionLists",
     "MatchStats",
     "tokenize",
-    "from_text",
     "build_position_lists",
     "count_matches",
 ]
@@ -29,7 +28,6 @@ class Sequence:
     """Tokenized input: dense nonnegative symbol ids."""
 
     symbols: tuple[int, ...]
-    provenance: str = "explicit_tokens"
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -62,20 +60,12 @@ def tokenize(raw: bytes, mode: str, table: SymbolTable | None = None) -> Sequenc
     through `table`.
     """
     if mode == "bytes":
-        return Sequence(tuple(raw), provenance="bytes")
+        return Sequence(tuple(raw))
     if mode == "lines":
         if table is None:
             table = SymbolTable()
-        return Sequence(
-            tuple(table.intern(line) for line in raw.splitlines()),
-            provenance="lines",
-        )
+        return Sequence(tuple(table.intern(line) for line in raw.splitlines()))
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-
-
-def from_text(text: str) -> Sequence:
-    """Convenience: byte-tokenize a str (latin-1)."""
-    return tokenize(text.encode("latin-1"), "bytes")
 
 
 @dataclass

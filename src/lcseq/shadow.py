@@ -55,14 +55,13 @@ class ShadowTracker:
     def __init__(
         self,
         n: int,
-        backend: str = "veb",
         seed_q: tuple[int, ...] | None = None,
         seed_contents: tuple[int, ...] | None = None,
     ):
         self.n = n
         self.h = [0] * (n + 1)
         self.q = [0] * (n + 1)
-        self.ts: ThresholdSet = make_threshold_set(max(n, 1), backend)
+        self.ts: ThresholdSet = make_threshold_set(max(n, 1), "veb")
         self.t_values: dict[tuple[int, int], int] = {}
         if seed_q is not None:
             if len(seed_q) != n:
@@ -164,9 +163,9 @@ def shadow_run(
     x: Sequence,
     y: Sequence,
     position_lists: PositionLists | None = None,
-    limit: int = DEFAULT_SHADOW_LIMIT,
 ) -> list[ShadowState]:
     """Run the threshold driver with dense cross-checks after every row."""
+    limit = DEFAULT_SHADOW_LIMIT
     if len(x) > limit or len(y) > limit:
         raise ValueError(
             f"shadow mode is capped at {limit}x{limit}; got {len(x)}x{len(y)}"

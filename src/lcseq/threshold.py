@@ -19,7 +19,7 @@ positive-integer key space.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bst import AvlTree
 from .veb import VebTree
@@ -61,7 +61,20 @@ class RowCost:
 
 
 class ThresholdSet:
-    """Abstract base; subclasses supply the raw ordered-set primitives."""
+    """The ordered set DS over 1..capacity that every LCS driver runs on.
+
+    Operations: ``update(x)`` (returns the replaced member, or None when
+    x was appended), ``succ(x)`` (smallest member > x), ``pred(x)``
+    (largest member < x), ``max()``, ``size()``, ``contents()`` (the
+    members in ascending order) and the row-boundary hint
+    ``begin_row()``.  Update, Succ and Pred are counted in ``counters``.
+    This base class runs them over ``self.tree``, an ordered integer set
+    with ``successor``/``predecessor`` (None when absent), ``insert``,
+    ``delete``, ``max``, ``len`` and ascending iteration;
+    ``ArrayBackend`` overrides them over a sorted list.
+    """
+
+    tree: VebTree | AvlTree
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -69,36 +82,29 @@ class ThresholdSet:
         self.capacity = capacity
         self.counters = OpCounters()
 
-    # -- raw primitives (uncounted) -------------------------------------
-    def _succ(self, x: int) -> int:
-        raise NotImplementedError
+    def _range_error(self, op: str, x: int, low: int) -> ValueError:
+        return ValueError(f"{op} argument {x} outside {low}..{self.capacity}")
 
-    def _pred(self, x: int) -> int:
-        raise NotImplementedError
-
-    def _insert(self, x: int) -> None:
-        raise NotImplementedError
-
-    def _delete(self, x: int) -> None:
-        raise NotImplementedError
-
-    # -- public operations ----------------------------------------------
     def size(self) -> int:
-        raise NotImplementedError
+        return len(self.tree)
+
+    def max(self) -> int:
+        """Largest member, or 0 when the set is empty."""
+        return self.tree.max or 0
 
     def succ(self, x: int) -> int:
         """Smallest member > x, or 0."""
         if not 0 <= x <= self.capacity:
-            raise ValueError(f"succ argument {x} outside 0..{self.capacity}")
+            raise self._range_error("succ", x, 0)
         self.counters.succ += 1
-        return self._succ(x)
+        return self.tree.successor(x) or 0
 
     def pred(self, x: int) -> int:
         """Largest member < x, or 0."""
         if not 1 <= x <= self.capacity:
-            raise ValueError(f"pred argument {x} outside 1..{self.capacity}")
+            raise self._range_error("pred", x, 1)
         self.counters.pred += 1
-        return self._pred(x)
+        return self.tree.predecessor(x) or 0
 
     def update(self, x: int) -> int | None:
         """Apply the successor-replacement rule.
@@ -106,23 +112,21 @@ class ThresholdSet:
         Returns the replaced member, or None when x was appended.
         """
         if not 1 <= x <= self.capacity:
-            raise ValueError(f"update argument {x} outside 1..{self.capacity}")
-        self.counters.update += 1
-        self.counters.succ += 1
-        y = self._succ(x - 1)
-        if y:
-            self.counters.delete += 1
-            self._delete(y)
-            self.counters.insert += 1
-            self._insert(x)
-            return y
-        self.counters.insert += 1
-        self._insert(x)
-        return None
+            raise self._range_error("update", x, 1)
+        counters = self.counters
+        counters.update += 1
+        counters.succ += 1
+        y = self.tree.successor(x - 1)
+        if y is not None:
+            counters.delete += 1
+            self.tree.delete(y)
+        counters.insert += 1
+        self.tree.insert(x)
+        return y
 
     def contents(self) -> list[int]:
         """Ascending list of members."""
-        raise NotImplementedError
+        return list(self.tree)
 
     def begin_row(self) -> None:
         """Row boundary hint; only the array backend cares."""
@@ -135,24 +139,6 @@ class VebBackend(ThresholdSet):
         super().__init__(capacity)
         self.tree = VebTree(capacity + 1)
 
-    def size(self) -> int:
-        return self.tree.population
-
-    def _succ(self, x: int) -> int:
-        return self.tree.successor(x) or 0
-
-    def _pred(self, x: int) -> int:
-        return self.tree.predecessor(x) or 0
-
-    def _insert(self, x: int) -> None:
-        self.tree.insert(x)
-
-    def _delete(self, x: int) -> None:
-        self.tree.delete(x)
-
-    def contents(self) -> list[int]:
-        return list(self.tree)
-
 
 class TreeBackend(ThresholdSet):
     """Threshold set on an AVL tree."""
@@ -160,24 +146,6 @@ class TreeBackend(ThresholdSet):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self.tree = AvlTree()
-
-    def size(self) -> int:
-        return len(self.tree)
-
-    def _succ(self, x: int) -> int:
-        return self.tree.successor(x) or 0
-
-    def _pred(self, x: int) -> int:
-        return self.tree.predecessor(x) or 0
-
-    def _insert(self, x: int) -> None:
-        self.tree.insert(x)
-
-    def _delete(self, x: int) -> None:
-        self.tree.delete(x)
-
-    def contents(self) -> list[int]:
-        return list(self.tree)
 
 
 class ArrayBackend(ThresholdSet):
@@ -193,7 +161,7 @@ class ArrayBackend(ThresholdSet):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._s: list[int] = []
-        self._alpha = 0
+        self._alpha = 0  # len(self._s); the attribute is cheaper than len() per update
         self._cursor = -1
         self._last_x: int | None = None
         self._row_costs: list[RowCost] = []
@@ -205,12 +173,21 @@ class ArrayBackend(ThresholdSet):
     def size(self) -> int:
         return self._alpha
 
-    def _succ(self, x: int) -> int:
-        i = bisect_right(self._s, x, 0, self._alpha)
-        return self._s[i] if i < self._alpha else 0
+    def max(self) -> int:
+        return self._s[-1] if self._s else 0
 
-    def _pred(self, x: int) -> int:
-        i = bisect_left(self._s, x, 0, self._alpha)
+    def succ(self, x: int) -> int:
+        if not 0 <= x <= self.capacity:
+            raise self._range_error("succ", x, 0)
+        self.counters.succ += 1
+        i = bisect_right(self._s, x)
+        return self._s[i] if i < len(self._s) else 0
+
+    def pred(self, x: int) -> int:
+        if not 1 <= x <= self.capacity:
+            raise self._range_error("pred", x, 1)
+        self.counters.pred += 1
+        i = bisect_left(self._s, x)
         return self._s[i - 1] if i > 0 else 0
 
     def _row_cost(self) -> RowCost:
@@ -234,7 +211,7 @@ class ArrayBackend(ThresholdSet):
 
     def update(self, x: int) -> int | None:
         if not 1 <= x <= self.capacity:
-            raise ValueError(f"update argument {x} outside 1..{self.capacity}")
+            raise self._range_error("update", x, 1)
         self.counters.update += 1
         self.counters.succ += 1
         if not self._row_open or (self._last_x is not None and x >= self._last_x):

@@ -8,8 +8,13 @@ import sys
 from bisect import bisect_right, insort
 from pathlib import Path
 
-from lcseq.matching import Sequence
+from lcseq.matching import Sequence, tokenize
 from lcseq.threshold import VebBackend
+
+
+def from_text(text: str) -> Sequence:
+    """Byte-tokenize a str (latin-1)."""
+    return tokenize(text.encode("latin-1"), "bytes")
 
 
 def brute_force_lcs_length(x: Sequence, y: Sequence) -> int:
@@ -94,17 +99,17 @@ class LiteralGuardVebBackend(VebBackend):
 
     def update(self, x: int) -> int | None:
         if not 1 <= x <= self.capacity:
-            raise ValueError(f"update argument {x} outside 1..{self.capacity}")
+            raise self._range_error("update", x, 1)
         self.counters.update += 1
         self.counters.succ += 1
-        k = self._succ(x - 1)
+        k = self.tree.successor(x - 1)
         replaced = None
-        if k and k < (self.tree.max or 0):
+        if k and k < self.max():
             self.counters.delete += 1
-            self._delete(k)
+            self.tree.delete(k)
             replaced = k
         self.counters.insert += 1
-        self._insert(x)
+        self.tree.insert(x)
         return replaced
 
 

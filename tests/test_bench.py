@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -111,6 +113,29 @@ def test_array_aggregate_comparison_bound():
     total = sum(rc.comparisons for rc in res.row_costs)
     m = len(x)
     assert total <= m * res.length + res.stats.r + m
+
+
+_NUMPY_PROBE = """\
+import sys
+from lcseq import bench
+seen = []
+oracle = bench.dp_oracle
+def probe(x, y):
+    seen.append("numpy" in sys.modules)
+    return oracle(x, y)
+bench.dp_oracle = probe
+bench.run_bench([bench.BenchCase("c", 8, 8, 2, 0, backends=("dp_oracle",))], repeats=1)
+print(seen)
+"""
+
+
+def test_run_bench_loads_numpy_before_timing_the_oracle():
+    # dp_oracle imports numpy lazily; a timed call must not include that import
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"[True]"
 
 
 def test_run_bench_disagreement_aborts(monkeypatch):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+
+from lcseq.cli import build_parser
 
 from helpers import run_cli_with_literal_guard
 
@@ -50,6 +53,38 @@ def test_length_backends(tmp_path, backend):
     proc = run_cli("length", fa, fb, "--backend", backend, "--output", "json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["L"] == 4
+
+
+def test_auto_picks_array(tmp_path):
+    fa, fb = write_pair(tmp_path, b"acgtacgtaa", b"gattacacgt")
+    payload = json.loads(run_cli("length", fa, fb, "--output", "json").stdout)
+    assert payload["backend"] == "array"
+
+
+def test_import_does_not_load_numpy():
+    # numpy is only needed by the dense oracle
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lcseq.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"False"
+
+
+def test_subcommand_options():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "length": {"--mode", "--output", "--backend"},
+        "subseq": {"--mode", "--output", "--memory-cap"},
+        "stats": {"--mode", "--output"},
+        "verify": {"--mode", "--memory-cap"},
+        "bench": {"--output", "--n", "--sigma", "--seed", "--structure", "--repeats", "--backend"},
+    }
 
 
 def test_text_and_json_agree(tmp_path):
@@ -132,6 +167,13 @@ def test_exit_code_memory_cap(tmp_path):
     assert b"16" in proc.stderr  # the measured R is reported
 
 
+def test_verify_memory_cap(tmp_path):
+    fa, fb = write_pair(tmp_path, b"aaaa", b"aaaa")
+    proc = run_cli("verify", fa, fb, "--memory-cap", "8")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"error: ")
+
+
 def test_verify_ok(tmp_path):
     fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
     proc = run_cli("verify", fa, fb)
@@ -178,7 +220,7 @@ def test_bench_csv():
 
 
 def test_bench_json():
-    proc = run_cli("bench", "--n", "32", "--repeats", "1", "--json")
+    proc = run_cli("bench", "--n", "32", "--repeats", "1", "--output", "json")
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert isinstance(data, list) and data

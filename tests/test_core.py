@@ -15,10 +15,10 @@ from lcseq.core import (
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from lcseq.matching import Sequence, build_position_lists, from_text
+from lcseq.matching import Sequence, build_position_lists
 from lcseq.threshold import BACKEND_NAMES
 
-from helpers import brute_force_lcs_length
+from helpers import brute_force_lcs_length, from_text
 
 
 def rand_seq(rng, max_len, sigma):

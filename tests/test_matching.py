@@ -7,18 +7,16 @@ from lcseq.matching import (
     SymbolTable,
     build_position_lists,
     count_matches,
-    from_text,
     tokenize,
 )
 
-from helpers import brute_force_matches
+from helpers import brute_force_matches, from_text
 
 
 def test_tokenize_bytes():
     seq = tokenize(b"aba", "bytes")
     assert seq.symbols == (97, 98, 97)
     assert len(seq) == 3
-    assert seq.provenance == "bytes"
 
 
 def test_tokenize_lines_first_appearance():

@@ -4,8 +4,10 @@ from itertools import accumulate
 import pytest
 
 from lcseq.core import dp_oracle
-from lcseq.matching import Sequence, from_text
+from lcseq.matching import Sequence
 from lcseq.shadow import InvariantViolation, ShadowTracker, shadow_run
+
+from helpers import from_text
 
 
 def test_prefix_max_pairing():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lcseq.threshold import (
     BACKEND_NAMES,
     ArrayBackend,
+    OpCounters,
     RowCost,
     TreeBackend,
     VebBackend,
@@ -63,6 +64,26 @@ def test_pred_examples(backend):
     assert ts.pred(6) == 3
     assert ts.pred(2) == 0
     assert ts.pred(4) == 3
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_max_examples(backend):
+    assert make_threshold_set(7, backend).max() == 0
+    assert seeded([2, 3, 6], backend=backend).max() == 6
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_update_counters_same_for_every_backend(backend):
+    # one Succ and one Insert per update, one Delete per replacement, no Pred
+    rng = random.Random(2024)
+    stream = [rng.randint(1, 50) for _ in range(500)]
+    ref: list[int] = []
+    replacements = sum(reference_update(ref, x) is not None for x in stream)
+    ts = make_threshold_set(50, backend)
+    for x in stream:
+        ts.update(x)
+    n = len(stream)
+    assert ts.counters == OpCounters(succ=n, pred=0, insert=n, delete=replacements, update=n)
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
