@@ -12,11 +12,11 @@ import io
 import json
 import random
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .core import dp_oracle, lcs_length
 from .matching import Sequence, build_position_lists, count_matches
-from .threshold import OpCounters
+from .threshold import BACKEND_NAMES, OpCounters
 
 __all__ = [
     "BenchCase",
@@ -32,25 +32,7 @@ __all__ = [
 ]
 
 STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
-BENCH_BACKENDS = ("veb", "tree", "array", "dp_oracle")
-
-REPORT_COLUMNS = (
-    "case_id",
-    "structure",
-    "n",
-    "m",
-    "sigma",
-    "seed",
-    "backend",
-    "R",
-    "L",
-    "time_ns",
-    "ops_succ",
-    "ops_pred",
-    "ops_insert",
-    "ops_delete",
-    "ops_update",
-)
+BENCH_BACKENDS = (*BACKEND_NAMES, "dp_oracle")
 
 
 class BenchDisagreement(RuntimeError):
@@ -65,7 +47,7 @@ class BenchCase:
     sigma: int
     seed: int
     structure: str = "uniform_random"
-    backends: tuple[str, ...] = ("veb", "tree", "array")
+    backends: tuple[str, ...] = BACKEND_NAMES
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -92,6 +74,9 @@ class BenchRecord:
     ops_insert: int
     ops_delete: int
     ops_update: int
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 
 
 def _uniform(n: int, sigma: int, rng: random.Random) -> tuple[int, ...]:
@@ -208,7 +193,7 @@ def default_cases(
     sigma: int = 4,
     seed: int = 0,
     structure: str = "uniform_random",
-    backends: tuple[str, ...] = ("veb", "tree", "array"),
+    backends: tuple[str, ...] = BACKEND_NAMES,
 ) -> list[BenchCase]:
     """Small default suite: the requested case at three sizes."""
     cases = []

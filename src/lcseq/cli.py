@@ -62,15 +62,13 @@ def _render_tokens(tokens, mode: str, table: SymbolTable | None) -> str:
 
 def cmd_length(args) -> int:
     x, y, _ = _load_pair(args)
-    # the sorted vector is the fastest measured backend on every workload
-    backend = "array" if args.backend == "auto" else args.backend
-    result = lcs_length(x, y, backend=backend)
+    result = lcs_length(x, y, backend=args.backend)
     payload = {
         "m": len(x),
         "n": len(y),
         "R": result.stats.r,
         "L": result.length,
-        "backend": backend,
+        "backend": result.backend,
     }
     _emit(payload, args.output, [f"{k} = {v}" for k, v in payload.items()])
     return EXIT_OK
@@ -88,6 +86,7 @@ def cmd_subseq(args) -> int:
         "n": len(y),
         "R": result.stats.r,
         "L": result.length,
+        "backend": result.backend,
         "subsequence": rendered,
     }
     _emit(payload, args.output, [f"L = {result.length}", rendered])
@@ -141,13 +140,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    backends = tuple(args.backend.split(","))
     cases = bench_mod.default_cases(
         n=args.n,
         sigma=args.sigma,
         seed=args.seed,
         structure=args.structure,
-        backends=backends,
+        backends=args.backend,
     )
     records = bench_mod.run_bench(cases, repeats=args.repeats)
     fmt = "json" if args.output == "json" else "csv"
@@ -155,6 +153,20 @@ def cmd_bench(args) -> int:
     if fmt == "json":
         sys.stdout.write("\n")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _bench_backends(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    if not set(names) <= set(bench_mod.BENCH_BACKENDS):
+        raise argparse.ArgumentTypeError(f"{text!r} has an item not in {bench_mod.BENCH_BACKENDS}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,13 +212,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark suite")
     add_output(p)
-    p.add_argument("--n", type=int, default=128)
-    p.add_argument("--sigma", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=128)
+    p.add_argument("--sigma", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--structure", choices=bench_mod.STRUCTURES,
                    default="uniform_random")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--backend", default="veb,tree,array")
+    p.add_argument("--repeats", type=_positive_int, default=3)
+    p.add_argument("--backend", type=_bench_backends, default=",".join(BACKEND_NAMES))
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -2,10 +2,12 @@
 
 The length driver walks the first sequence row by row, feeding each
 row's match columns (in strictly decreasing order) to a threshold set;
-the set's final size is the LCS length.  The reconstruction driver
-additionally numbers every match and records, per match, its
-predecessor match and its column, from which one LCS is read back in
-O(L).  A dense Wagner-Fischer table serves as the independent oracle.
+the set's final size is the LCS length.  The reconstruction driver runs
+the same rows on the same default set and additionally numbers every
+match and records, per match, its predecessor match and its column, from
+which one LCS is read back in O(L).  Both take their set from
+``make_threshold_set``.  A dense Wagner-Fischer table serves as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -82,16 +84,6 @@ class LcsResult:
     trace: TraceTable | None = None
 
 
-def _empty_result(x: Sequence, pl: PositionLists, backend: str, r: int) -> LcsResult:
-    return LcsResult(
-        length=0,
-        subsequence=None,
-        stats=MatchStats(r=r, n=pl.length, m=len(x), l=0),
-        counters=OpCounters(),
-        backend=backend,
-    )
-
-
 def _check_op_budget(counters: OpCounters, r: int) -> None:
     """At most four structure operations per match (succ, pred, insert, delete)."""
     ops = counters.structure_total()
@@ -102,15 +94,16 @@ def _check_op_budget(counters: OpCounters, r: int) -> None:
 def lcs_length(
     x: Sequence,
     y: Sequence,
-    backend: str = "veb",
+    backend: str = "auto",
     position_lists: PositionLists | None = None,
 ) -> LcsResult:
     """LCS length of x and y via the chosen threshold-set backend."""
     pl = position_lists if position_lists is not None else build_position_lists(y)
     stats = count_matches(x, pl)
+    ts = make_threshold_set(max(pl.length, 1), backend)
     if stats.r == 0:
-        return _empty_result(x, pl, backend, 0)
-    ts = make_threshold_set(pl.length, backend)
+        stats.l = 0
+        return LcsResult(0, None, stats, OpCounters(), ts.name)
     lists = pl.lists
     for sym in x.symbols:
         positions = lists.get(sym)
@@ -127,7 +120,7 @@ def lcs_length(
         subsequence=None,
         stats=stats,
         counters=ts.counters,
-        backend=backend,
+        backend=ts.name,
         row_costs=ts.row_costs() if isinstance(ts, ArrayBackend) else None,
     )
 
@@ -138,17 +131,16 @@ def lcs_reconstruct(
     position_lists: PositionLists | None = None,
     memory_cap: int = DEFAULT_TRACE_CAP,
 ) -> LcsResult:
-    """LCS length plus one actual subsequence, via the vEB backend."""
+    """LCS length plus one actual subsequence, on the default threshold set."""
     pl = position_lists if position_lists is not None else build_position_lists(y)
     stats = count_matches(x, pl)
+    n = pl.length
+    ts = make_threshold_set(max(n, 1))
     if stats.r == 0:
-        result = _empty_result(x, pl, "veb", 0)
-        result.subsequence = ()
-        return result
+        stats.l = 0
+        return LcsResult(0, (), stats, OpCounters(), ts.name)
     if stats.r > memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap)
-    n = pl.length
-    ts = make_threshold_set(n, "veb")
     trace = TraceTable(
         predecessor=[0] * (stats.r + 1),
         column=[0] * (stats.r + 1),
@@ -163,6 +155,7 @@ def lcs_reconstruct(
         positions = lists.get(sym)
         if not positions:
             continue
+        ts.begin_row()
         for j in positions:
             ts.update(j)
             p = ts.pred(j)
@@ -182,7 +175,7 @@ def lcs_reconstruct(
         subsequence=subseq,
         stats=stats,
         counters=ts.counters,
-        backend="veb",
+        backend=ts.name,
         trace=trace,
     )
 

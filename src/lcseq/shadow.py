@@ -50,7 +50,7 @@ class ShadowState:
 
 
 class ShadowTracker:
-    """Dense H/Q/P bookkeeping plus a threshold set, checked row by row."""
+    """Dense H/Q/P bookkeeping plus the default threshold set, checked row by row."""
 
     def __init__(
         self,
@@ -61,7 +61,7 @@ class ShadowTracker:
         self.n = n
         self.h = [0] * (n + 1)
         self.q = [0] * (n + 1)
-        self.ts: ThresholdSet = make_threshold_set(max(n, 1), "veb")
+        self.ts: ThresholdSet = make_threshold_set(max(n, 1))
         self.t_values: dict[tuple[int, int], int] = {}
         if seed_q is not None:
             if len(seed_q) != n:
@@ -175,6 +175,7 @@ def shadow_run(
     snapshots: list[ShadowState] = []
     prev_h: list[int] | None = None
     for i, sym in enumerate(x.symbols, start=1):
+        tracker.ts.begin_row()
         for j in pl.positions(sym):
             tracker.apply_match(i, j)
         tracker.check_row(i, prev_h)

@@ -10,7 +10,10 @@ the same contract with different cost profiles:
 * ``TreeBackend`` - AVL tree, O(log size) per operation.
 * ``ArrayBackend``- sorted vector with a per-row downward scan cursor,
   O(size) per row when updates within a row arrive in strictly
-  decreasing order.
+  decreasing order (the Hunt-Szymanski vector).
+
+``make_threshold_set`` alone maps a name to a backend; ``auto``, every
+driver's default, resolves there to ``array``, the fastest one measured.
 
 Queries use 0 as the "no such element" sentinel, matching the
 positive-integer key space.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bst import AvlTree
 from .veb import VebTree
@@ -51,9 +55,8 @@ class OpCounters:
         return self.succ + self.pred + self.insert + self.delete
 
 
-@dataclass(frozen=True)
-class RowCost:
-    """Array-backend cost record for one row of updates."""
+class RowCost(NamedTuple):
+    """Array-backend cost record for one row (a NamedTuple: cheap to build per row)."""
 
     alpha_start: int
     updates: int
@@ -75,6 +78,7 @@ class ThresholdSet:
     """
 
     tree: VebTree | AvlTree
+    name: str  # the backend name that ``make_threshold_set`` maps to this class
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -135,6 +139,8 @@ class ThresholdSet:
 class VebBackend(ThresholdSet):
     """Threshold set on a van Emde Boas tree over universe capacity+1."""
 
+    name = "veb"
+
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self.tree = VebTree(capacity + 1)
@@ -142,6 +148,8 @@ class VebBackend(ThresholdSet):
 
 class TreeBackend(ThresholdSet):
     """Threshold set on an AVL tree."""
+
+    name = "tree"
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
@@ -157,6 +165,8 @@ class ArrayBackend(ThresholdSet):
     at most alpha + row_updates + 1.  Out-of-order calls (allowed for
     generic use) restart the scan from the top of the vector.
     """
+
+    name = "array"
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
@@ -245,11 +255,12 @@ class ArrayBackend(ThresholdSet):
         return self._s[: self._alpha]
 
 
-def make_threshold_set(capacity: int, backend: str) -> ThresholdSet:
+def make_threshold_set(capacity: int, backend: str = "auto") -> ThresholdSet:
+    """Empty set over 1..capacity; classes are looked up at call time."""
+    if backend in ("auto", "array"):
+        return ArrayBackend(capacity)
     if backend == "veb":
         return VebBackend(capacity)
     if backend == "tree":
         return TreeBackend(capacity)
-    if backend == "array":
-        return ArrayBackend(capacity)
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")

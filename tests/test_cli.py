@@ -121,6 +121,12 @@ def test_subseq(tmp_path):
     assert is_subseq(sub, b"abcbdab") and is_subseq(sub, b"bdcaba")
 
 
+def test_subseq_json_reports_backend(tmp_path):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    payload = json.loads(run_cli("subseq", fa, fb, "--output", "json").stdout)
+    assert payload["backend"] == "array"
+
+
 def test_subseq_lines_mode(tmp_path):
     fa, fb = write_pair(tmp_path, b"alpha\nbeta\ngamma\n", b"alpha\ngamma\ndelta\n")
     proc = run_cli("subseq", fa, fb, "--mode", "lines")
@@ -224,6 +230,17 @@ def test_bench_json():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert isinstance(data, list) and data
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--repeats", "0"], ["--sigma", "0"], ["--backend", "foo"], ["--n", "-5"]],
+)
+def test_bench_bad_values_are_usage_errors(argv):
+    proc = run_cli("bench", *argv)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"usage:" in proc.stderr
 
 
 def test_bench_backend_selection():

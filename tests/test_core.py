@@ -25,13 +25,21 @@ def rand_seq(rng, max_len, sigma):
     return Sequence(tuple(rng.randrange(sigma) for _ in range(rng.randint(0, max_len))))
 
 
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
+@pytest.mark.parametrize("backend", (*BACKEND_NAMES, "auto"))
 def test_length_examples(backend):
     x, y = from_text("abcbdab"), from_text("bdcaba")
     assert lcs_length(x, y, backend=backend).length == 4
     a = from_text("aaaa")
     assert lcs_length(a, a, backend=backend).length == 4
     assert lcs_length(from_text("ab"), from_text("cd"), backend=backend).length == 0
+
+
+@pytest.mark.parametrize("a, b", [("abcbdab", "bdcaba"), ("ab", "cd")])
+def test_default_backend_is_array(a, b):
+    # the second pair has R = 0, which returns before any update
+    x, y = from_text(a), from_text(b)
+    assert lcs_length(x, y).backend == "array"
+    assert lcs_reconstruct(x, y).backend == "array"
 
 
 def test_vector_scan_examples():

@@ -37,6 +37,11 @@ def test_new_is_empty(backend):
     assert ts1.size() == 0 and ts1.capacity == 1
 
 
+def test_auto_is_array():
+    assert isinstance(make_threshold_set(8), ArrayBackend)
+    assert isinstance(make_threshold_set(8, "auto"), ArrayBackend)
+
+
 def test_new_rejects_bad_capacity():
     with pytest.raises(ValueError):
         make_threshold_set(0, "veb")
