@@ -1,8 +1,10 @@
 """Longest common subsequence via ordered threshold sets.
 
-Three interchangeable backends (van Emde Boas tree, AVL tree, sorted
-vector) drive the same successor-replacement update; reconstruction
-records a per-match predecessor trace in O(R) space.
+The default path runs the successor-replacement update on a plain
+sorted list with bisect (Hunt-Szymanski, O(R log L + n)); three counted
+backends (van Emde Boas tree, AVL tree, sorted vector) drive the same
+update as the paper's structures.  Reconstruction records a per-match
+predecessor trace in O(R) space.
 """
 
 from .bench import BenchCase, emit_report, gen_pair, gen_sequence, run_bench

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
-BENCH_BACKENDS = (*BACKEND_NAMES, "dp_oracle")
+BENCH_BACKENDS = (*BACKEND_NAMES, "auto", "dp_oracle")
 
 
 class BenchDisagreement(RuntimeError):
@@ -144,10 +144,11 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
                 if best_ns is None or wall < best_ns:
                     best_ns = wall
             if backend == "dp_oracle":
-                length, c = int(table[len(x.symbols)][len(y.symbols)]), OpCounters()
+                name, length, c = backend, int(table[len(x.symbols)][len(y.symbols)]), OpCounters()
             else:
-                length, c = res.length, res.counters
-            lengths[backend] = length
+                # `auto` is recorded under the name of the kernel it ran
+                name, length, c = res.backend, res.length, res.counters
+            lengths[name] = length
             records.append(
                 BenchRecord(
                     case_id=case.case_id,
@@ -156,7 +157,7 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
                     m=case.m,
                     sigma=case.sigma,
                     seed=case.seed,
-                    backend=backend,
+                    backend=name,
                     R=r,
                     L=length,
                     time_ns=best_ns,

@@ -111,8 +111,9 @@ def cmd_verify(args) -> int:
     x, y, _ = _load_pair(args)
     pl = build_position_lists(y)
     lengths: dict[str, int] = {}
-    for backend in BACKEND_NAMES:
-        lengths[backend] = lcs_length(x, y, backend=backend, position_lists=pl).length
+    for backend in (*BACKEND_NAMES, "auto"):
+        result = lcs_length(x, y, backend=backend, position_lists=pl)
+        lengths[result.backend] = result.length
     table = dp_oracle(x, y)
     lengths["dp_oracle"] = int(table[len(x)][len(y)])
     failures = []

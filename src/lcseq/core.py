@@ -2,16 +2,21 @@
 
 The length driver walks the first sequence row by row, feeding each
 row's match columns (in strictly decreasing order) to a threshold set;
-the set's final size is the LCS length.  The reconstruction driver runs
-the same rows on the same default set and additionally numbers every
-match and records, per match, its predecessor match and its column, from
-which one LCS is read back in O(L).  Both take their set from
-``make_threshold_set``.  A dense Wagner-Fischer table serves as the
-independent oracle.
+the set's final size is the LCS length.  By default (``auto``) it runs
+the Hunt-Szymanski kernel ``_threshold_rows``: the set is a plain sorted
+list, each match costs at most one bounded ``bisect_left``, and the
+whole run is O(R log L + n).  A named backend (``veb``, ``tree``,
+``array``) runs the counted ``ThresholdSet`` from ``make_threshold_set``
+instead; those are the paper's structures and the references the tests
+audit.  The reconstruction driver runs the kernel's slot rule and
+additionally numbers every match and records, per match, its predecessor
+match and its column, from which one LCS is read back in O(L).  A dense
+Wagner-Fischer table serves as the independent oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,10 +40,12 @@ __all__ = [
     "validate_common_subsequence",
     "DEFAULT_TRACE_CAP",
     "DEFAULT_DP_CAP",
+    "KERNEL_NAME",
 ]
 
 DEFAULT_TRACE_CAP = 1 << 26  # max match records for reconstruction
 DEFAULT_DP_CAP = 1 << 26  # max cells in the dense oracle table
+KERNEL_NAME = "bisect"  # the backend name the default kernel reports
 
 
 class ReconstructionCapError(MemoryError):
@@ -91,15 +98,54 @@ def _check_op_budget(counters: OpCounters, r: int) -> None:
         raise RuntimeError(f"{ops} structure operations for R = {r} exceeds 4R")
 
 
+def _threshold_rows(symbols: tuple[int, ...], lists: dict[int, list[int]]) -> list[int]:
+    """Final threshold set S of the Hunt-Szymanski sweep, as a sorted list.
+
+    S[0] is a 0 sentinel and S[1..L] the set.  A row's columns arrive in
+    decreasing order, so the slot k that took the previous column bounds
+    the next one's: it goes to slot k when S[k-1] < j, and otherwise to the
+    slot that ``bisect_left`` finds below k-1.  Only a row's first column
+    can append.  After every row S[1:] equals ``ArrayBackend``'s contents.
+    """
+    s = [0]
+    for sym in symbols:
+        positions = lists.get(sym)
+        if positions is None:
+            continue
+        k = len(s)
+        for j in positions:
+            if s[k - 1] >= j:
+                k = bisect_left(s, j, 1, k - 1)
+                s[k] = j
+            elif k == len(s):
+                s.append(j)
+            else:
+                s[k] = j
+    return s
+
+
+def _kernel_counters(r: int, length: int) -> OpCounters:
+    """The counts a counted set makes for the kernel's updates.
+
+    Each match is one update, one successor query and one insert; all but
+    the L appends also delete the replaced member.
+    """
+    return OpCounters(succ=r, insert=r, delete=r - length, update=r)
+
+
 def lcs_length(
     x: Sequence,
     y: Sequence,
     backend: str = "auto",
     position_lists: PositionLists | None = None,
 ) -> LcsResult:
-    """LCS length of x and y via the chosen threshold-set backend."""
+    """LCS length of x and y: the kernel for ``auto``, else the named set."""
     pl = position_lists if position_lists is not None else build_position_lists(y)
     stats = count_matches(x, pl)
+    if backend == "auto":
+        length = len(_threshold_rows(x.symbols, pl.lists)) - 1
+        stats.l = length
+        return LcsResult(length, None, stats, _kernel_counters(stats.r, length), KERNEL_NAME)
     ts = make_threshold_set(max(pl.length, 1), backend)
     if stats.r == 0:
         stats.l = 0
@@ -131,42 +177,47 @@ def lcs_reconstruct(
     position_lists: PositionLists | None = None,
     memory_cap: int = DEFAULT_TRACE_CAP,
 ) -> LcsResult:
-    """LCS length plus one actual subsequence, on the default threshold set."""
+    """LCS length plus one actual subsequence, on the default kernel's slot rule."""
     pl = position_lists if position_lists is not None else build_position_lists(y)
     stats = count_matches(x, pl)
-    n = pl.length
-    ts = make_threshold_set(max(n, 1))
     if stats.r == 0:
         stats.l = 0
-        return LcsResult(0, (), stats, OpCounters(), ts.name)
+        return LcsResult(0, (), stats, OpCounters(), KERNEL_NAME)
     if stats.r > memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap)
     trace = TraceTable(
         predecessor=[0] * (stats.r + 1),
         column=[0] * (stats.r + 1),
-        occupant=[0] * (n + 1),
+        occupant=[0] * (pl.length + 1),
     )
     pred_k = trace.predecessor
     col_k = trace.column
     occ = trace.occupant
     lists = pl.lists
     m = 0
+    # the slot rule of _threshold_rows; Pred(j) is the new occupant's left
+    # neighbour S[k-1], and the sentinel S[0] = 0 maps to "no predecessor"
+    s = [0]
     for sym in x.symbols:
         positions = lists.get(sym)
-        if not positions:
+        if positions is None:
             continue
-        ts.begin_row()
+        k = len(s)
         for j in positions:
-            ts.update(j)
-            p = ts.pred(j)
+            if s[k - 1] >= j:
+                k = bisect_left(s, j, 1, k - 1)
+                s[k] = j
+            elif k == len(s):
+                s.append(j)
+            else:
+                s[k] = j
             m += 1
-            pred_k[m] = occ[p]
+            pred_k[m] = occ[s[k - 1]]
             col_k[m] = j
             occ[j] = m
     trace.count = m
-    length = ts.size()
-    subseq = extract_lcs(trace, occ[ts.max()], y)
-    _check_op_budget(ts.counters, stats.r)
+    length = len(s) - 1
+    subseq = extract_lcs(trace, occ[s[-1]], y)
     if len(subseq) != length:
         raise RuntimeError(f"extracted {len(subseq)} symbols for L = {length}")
     stats.l = length
@@ -174,8 +225,8 @@ def lcs_reconstruct(
         length=length,
         subsequence=subseq,
         stats=stats,
-        counters=ts.counters,
-        backend=ts.name,
+        counters=_kernel_counters(stats.r, length),
+        backend=KERNEL_NAME,
         trace=trace,
     )
 
@@ -228,8 +279,9 @@ def dp_traceback(table: np.ndarray, x: Sequence, y: Sequence) -> tuple[int, ...]
 
 
 def is_subsequence(candidate: tuple[int, ...], seq: Sequence) -> bool:
+    # `in` advances the shared iterator past the first match, in C
     it = iter(seq.symbols)
-    return all(any(s == c for s in it) for c in candidate)
+    return all(c in it for c in candidate)
 
 
 def validate_common_subsequence(

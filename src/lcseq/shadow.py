@@ -50,7 +50,7 @@ class ShadowState:
 
 
 class ShadowTracker:
-    """Dense H/Q/P bookkeeping plus the default threshold set, checked row by row."""
+    """Dense H/Q/P bookkeeping plus the array threshold set, checked row by row."""
 
     def __init__(
         self,
@@ -61,7 +61,7 @@ class ShadowTracker:
         self.n = n
         self.h = [0] * (n + 1)
         self.q = [0] * (n + 1)
-        self.ts: ThresholdSet = make_threshold_set(max(n, 1))
+        self.ts: ThresholdSet = make_threshold_set(max(n, 1), "array")
         self.t_values: dict[tuple[int, int], int] = {}
         if seed_q is not None:
             if len(seed_q) != n:

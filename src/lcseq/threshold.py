@@ -10,10 +10,13 @@ the same contract with different cost profiles:
 * ``TreeBackend`` - AVL tree, O(log size) per operation.
 * ``ArrayBackend``- sorted vector with a per-row downward scan cursor,
   O(size) per row when updates within a row arrive in strictly
-  decreasing order (the Hunt-Szymanski vector).
+  decreasing order (the paper's O(nL) vector).
 
-``make_threshold_set`` alone maps a name to a backend; ``auto``, every
-driver's default, resolves there to ``array``, the fastest one measured.
+They count every operation and are the named ``--backend`` choices and
+the references the tests audit.  ``make_threshold_set`` maps one of
+``BACKEND_NAMES`` to its backend.  The default path (``auto``) runs none
+of them: ``lcseq.core`` sweeps an uncounted sorted list with bisect
+instead (the Hunt-Szymanski kernel).
 
 Queries use 0 as the "no such element" sentinel, matching the
 positive-integer key space.
@@ -64,7 +67,7 @@ class RowCost(NamedTuple):
 
 
 class ThresholdSet:
-    """The ordered set DS over 1..capacity that every LCS driver runs on.
+    """The counted ordered set DS over 1..capacity behind each named backend.
 
     Operations: ``update(x)`` (returns the replaced member, or None when
     x was appended), ``succ(x)`` (smallest member > x), ``pred(x)``
@@ -255,9 +258,9 @@ class ArrayBackend(ThresholdSet):
         return self._s[: self._alpha]
 
 
-def make_threshold_set(capacity: int, backend: str = "auto") -> ThresholdSet:
+def make_threshold_set(capacity: int, backend: str) -> ThresholdSet:
     """Empty set over 1..capacity; classes are looked up at call time."""
-    if backend in ("auto", "array"):
+    if backend == "array":
         return ArrayBackend(capacity)
     if backend == "veb":
         return VebBackend(capacity)

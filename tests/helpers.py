@@ -8,6 +8,7 @@ import sys
 from bisect import bisect_right, insort
 from pathlib import Path
 
+from lcseq import core
 from lcseq.matching import Sequence, tokenize
 from lcseq.threshold import VebBackend
 
@@ -113,21 +114,45 @@ class LiteralGuardVebBackend(VebBackend):
         return replaced
 
 
-_LITERAL_GUARD_CLI = """\
+_PATCHED_CLI = """\
 import sys
 sys.path.insert(0, sys.argv.pop(1))
-import lcseq.threshold
-from helpers import LiteralGuardVebBackend
-lcseq.threshold.VebBackend = LiteralGuardVebBackend
+{patch}
 from lcseq.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def run_cli_with_literal_guard(*args: str) -> subprocess.CompletedProcess:
-    """`lcseq <args>` in a subprocess whose veb threshold sets are the faulty variant."""
+def _run_patched_cli(patch: str, *args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess that first runs `patch` (tests/ is importable)."""
     return subprocess.run(
-        [sys.executable, "-c", _LITERAL_GUARD_CLI, str(Path(__file__).parent), *args],
+        [sys.executable, "-c", _PATCHED_CLI.format(patch=patch), str(Path(__file__).parent), *args],
         capture_output=True,
         timeout=120,
+    )
+
+
+def run_cli_with_literal_guard(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose veb threshold sets are the faulty variant."""
+    return _run_patched_cli(
+        "import lcseq.threshold\n"
+        "from helpers import LiteralGuardVebBackend\n"
+        "lcseq.threshold.VebBackend = LiteralGuardVebBackend",
+        *args,
+    )
+
+
+def overcounting_kernel(symbols, lists, kernel=core._threshold_rows):
+    """The default kernel with one member too many: it reports L + 1."""
+    s = kernel(symbols, lists)
+    return s + [s[-1] + 1]
+
+
+def run_cli_with_overcounting_kernel(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose default kernel reports L + 1."""
+    return _run_patched_cli(
+        "import lcseq.core\n"
+        "from helpers import overcounting_kernel\n"
+        "lcseq.core._threshold_rows = overcounting_kernel",
+        *args,
     )

@@ -10,7 +10,7 @@ import pytest
 
 from lcseq.cli import build_parser
 
-from helpers import run_cli_with_literal_guard
+from helpers import run_cli_with_literal_guard, run_cli_with_overcounting_kernel
 
 CLI = [sys.executable, "-m", "lcseq.cli"]
 
@@ -55,10 +55,10 @@ def test_length_backends(tmp_path, backend):
     assert json.loads(proc.stdout)["L"] == 4
 
 
-def test_auto_picks_array(tmp_path):
+def test_auto_picks_bisect(tmp_path):
     fa, fb = write_pair(tmp_path, b"acgtacgtaa", b"gattacacgt")
     payload = json.loads(run_cli("length", fa, fb, "--output", "json").stdout)
-    assert payload["backend"] == "array"
+    assert payload["backend"] == "bisect"
 
 
 def test_import_does_not_load_numpy():
@@ -124,7 +124,7 @@ def test_subseq(tmp_path):
 def test_subseq_json_reports_backend(tmp_path):
     fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
     payload = json.loads(run_cli("subseq", fa, fb, "--output", "json").stdout)
-    assert payload["backend"] == "array"
+    assert payload["backend"] == "bisect"
 
 
 def test_subseq_lines_mode(tmp_path):
@@ -205,6 +205,16 @@ def test_verify_literal_guard_witness(tmp_path):
     assert b"disagreement" in proc.stderr
 
 
+def test_verify_checks_default_kernel(tmp_path):
+    # every named backend and the oracle are right; only the default is off
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = run_cli_with_overcounting_kernel("verify", fa, fb)
+    assert proc.returncode == 1
+    assert b"length disagreement" in proc.stderr
+    assert b"'bisect': 5" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_verify_above_dense_cap_is_resource_error(tmp_path):
     # (8200 + 1)^2 cells exceed the dense oracle's 2^26 cap
     lines = [b"line %d" % i for i in range(8200)]
@@ -226,15 +236,25 @@ def test_bench_csv():
 
 
 def test_bench_json():
-    proc = run_cli("bench", "--n", "32", "--repeats", "1", "--output", "json")
-    assert proc.returncode == 0
+    proc = run_cli(
+        "bench", "--n", "32", "--repeats", "1", "--output", "json", "--backend", "auto,array"
+    )
+    assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert isinstance(data, list) and data
+    # `auto` rows carry the kernel's name; bench itself checks that the L agree
+    assert [r["backend"] for r in data] == ["bisect", "array"] * 3
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["--repeats", "0"], ["--sigma", "0"], ["--backend", "foo"], ["--n", "-5"]],
+    [
+        ["--repeats", "0"],
+        ["--sigma", "0"],
+        ["--backend", "foo"],
+        ["--backend", "auto,foo"],
+        ["--n", "-5"],
+    ],
 )
 def test_bench_bad_values_are_usage_errors(argv):
     proc = run_cli("bench", *argv)

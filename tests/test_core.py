@@ -8,15 +8,17 @@ from lcseq.core import (
     DpCapError,
     ReconstructionCapError,
     TraceTable,
+    _threshold_rows,
     dp_oracle,
     dp_traceback,
     extract_lcs,
+    is_subsequence,
     lcs_length,
     lcs_reconstruct,
     validate_common_subsequence,
 )
 from lcseq.matching import Sequence, build_position_lists
-from lcseq.threshold import BACKEND_NAMES
+from lcseq.threshold import BACKEND_NAMES, ArrayBackend
 
 from helpers import brute_force_lcs_length, from_text
 
@@ -35,11 +37,34 @@ def test_length_examples(backend):
 
 
 @pytest.mark.parametrize("a, b", [("abcbdab", "bdcaba"), ("ab", "cd")])
-def test_default_backend_is_array(a, b):
+def test_default_backend_is_bisect(a, b):
     # the second pair has R = 0, which returns before any update
     x, y = from_text(a), from_text(b)
-    assert lcs_length(x, y).backend == "array"
-    assert lcs_reconstruct(x, y).backend == "array"
+    assert lcs_length(x, y).backend == "bisect"
+    assert lcs_reconstruct(x, y).backend == "bisect"
+
+
+def test_kernel_rows_equal_array_backend():
+    """After every row the kernel's S is the array set's; its counts are too."""
+    rng = random.Random(5150)
+    for idx in range(48):
+        sigma = (2, 4, 26)[idx % 3]
+        if idx < 3:
+            m = n = 200
+        else:
+            m, n = int(201 * rng.random() ** 2), int(201 * rng.random() ** 2)
+        x = Sequence(tuple(rng.randrange(sigma) for _ in range(m)))
+        y = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
+        pl = build_position_lists(y)
+        ts = ArrayBackend(max(n, 1))
+        for i, sym in enumerate(x.symbols, start=1):
+            ts.begin_row()
+            for j in pl.positions(sym):
+                ts.update(j)
+            assert _threshold_rows(x.symbols[:i], pl.lists)[1:] == ts.contents(), (idx, i)
+        measured = lcs_length(x, y, backend="array", position_lists=pl).counters
+        assert lcs_length(x, y, position_lists=pl).counters == measured, idx
+        assert lcs_reconstruct(x, y, position_lists=pl).counters == measured, idx
 
 
 def test_vector_scan_examples():
@@ -80,6 +105,17 @@ def test_extract_lcs_single_match():
 def test_extract_lcs_chain():
     trace = TraceTable(predecessor=[0, 0, 1], column=[0, 2, 5], occupant=[0])
     assert bytes(extract_lcs(trace, 2, from_text("bdcaba"))) == b"db"
+
+
+def test_is_subsequence_vs_enumeration():
+    # every string over a 3-letter alphabet up to length 5, both ways round
+    strings = [s for length in range(6) for s in itertools.product((0, 1, 2), repeat=length)]
+    for seq in strings:
+        subsequences = {
+            c for length in range(len(seq) + 1) for c in itertools.combinations(seq, length)
+        }
+        for cand in strings:
+            assert is_subsequence(cand, Sequence(seq)) == (cand in subsequences), (cand, seq)
 
 
 def test_dp_oracle_examples():

@@ -37,9 +37,13 @@ def test_new_is_empty(backend):
     assert ts1.size() == 0 and ts1.capacity == 1
 
 
-def test_auto_is_array():
-    assert isinstance(make_threshold_set(8), ArrayBackend)
-    assert isinstance(make_threshold_set(8, "auto"), ArrayBackend)
+def test_make_threshold_set_takes_concrete_names():
+    # `auto` is the kernel in lcseq.core, not a set; there is no default set
+    assert isinstance(make_threshold_set(8, "array"), ArrayBackend)
+    with pytest.raises(ValueError):
+        make_threshold_set(8, "auto")
+    with pytest.raises(TypeError):
+        make_threshold_set(8)
 
 
 def test_new_rejects_bad_capacity():
