@@ -12,7 +12,9 @@ import sys
 
 from . import bench as bench_mod
 from .core import (
+    BITPAR_WORDS_PER_MATCH,
     DEFAULT_TRACE_CAP,
+    KERNEL_NAMES,
     DpCapError,
     ReconstructionCapError,
     dp_oracle,
@@ -111,20 +113,23 @@ def cmd_verify(args) -> int:
     x, y, _ = _load_pair(args)
     pl = build_position_lists(y)
     lengths: dict[str, int] = {}
-    for backend in (*BACKEND_NAMES, "auto"):
+    # both kernels by name, whichever `auto` would pick
+    for backend in (*BACKEND_NAMES, *KERNEL_NAMES):
         result = lcs_length(x, y, backend=backend, position_lists=pl)
         lengths[result.backend] = result.length
     table = dp_oracle(x, y)
     lengths["dp_oracle"] = int(table[len(x)][len(y)])
     failures = []
-    try:
-        recon = lcs_reconstruct(x, y, position_lists=pl, memory_cap=args.memory_cap)
-    except RuntimeError as exc:
-        failures.append(f"reconstruction: {exc}")
-    else:
-        lengths["reconstruct"] = recon.length
-        if not validate_common_subsequence(recon.subsequence, x, y, lengths["dp_oracle"]):
-            failures.append("reconstructed subsequence failed the structural check")
+    for kernel in KERNEL_NAMES:
+        try:
+            recon = lcs_reconstruct(x, y, position_lists=pl, memory_cap=args.memory_cap,
+                                    backend=kernel)
+        except RuntimeError as exc:
+            failures.append(f"reconstruction[{kernel}]: {exc}")
+        else:
+            lengths[f"reconstruct[{kernel}]"] = recon.length
+            if not validate_common_subsequence(recon.subsequence, x, y, lengths["dp_oracle"]):
+                failures.append(f"reconstruction[{kernel}]: subsequence failed the structural check")
     if len(set(lengths.values())) > 1:
         failures.append(f"length disagreement: {lengths}")
     if len(x) <= DEFAULT_SHADOW_LIMIT and len(y) <= DEFAULT_SHADOW_LIMIT:
@@ -187,7 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_memory_cap(p):
         p.add_argument("--memory-cap", type=int, default=DEFAULT_TRACE_CAP,
-                       dest="memory_cap")
+                       dest="memory_cap",
+                       help="most matches R that reconstruction takes on, checked before "
+                            "any work (exit 3 above it); within it the bisect trace holds "
+                            "2(R+1) list slots and the bitpar rows fewer than "
+                            f"{BITPAR_WORDS_PER_MATCH}R 64-bit words")
 
     p = sub.add_parser("length", help="LCS length")
     add_inputs(p)

@@ -1,24 +1,41 @@
-"""LCS drivers over the threshold set, reconstruction, and the DP oracle.
+"""LCS drivers: two kernels, the counted threshold sets, reconstruction, the DP oracle.
 
-The length driver walks the first sequence row by row, feeding each
-row's match columns (in strictly decreasing order) to a threshold set;
-the set's final size is the LCS length.  By default (``auto``) it runs
-the Hunt-Szymanski kernel ``_threshold_rows``: the set is a plain sorted
-list, each match costs at most one bounded ``bisect_left``, and the
-whole run is O(R log L + n).  A named backend (``veb``, ``tree``,
-``array``) runs the counted ``ThresholdSet`` from ``make_threshold_set``
-instead; those are the paper's structures and the references the tests
-audit.  The reconstruction driver runs the kernel's slot rule and
-additionally numbers every match and records, per match, its predecessor
-match and its column, from which one LCS is read back in O(L).  A dense
-Wagner-Fischer table serves as the independent oracle.
+The length driver walks the first sequence row by row.  The default
+(``auto``) runs one of two stdlib kernels, picked by ``_choose_kernel``
+from R (which ``count_matches`` gives before any work), m and n:
+
+* ``bisect`` (``_threshold_rows``), the Hunt-Szymanski kernel.  It feeds
+  each row's match columns, in strictly decreasing order, to a threshold
+  set kept as a plain sorted list; each match costs at most one bounded
+  ``bisect_left``, so the run is O(R log L + n).  It wins where rows have
+  few matches (diff-like inputs, R close to m).
+* ``bitpar`` (``_bitpar_rows``), the bit-parallel row update of Allison
+  and Dix (1986) and Hyyro (2004).  Bit j-1 of an n-bit int V is 0 where
+  the DP row steps up at column j; one add/and/or/sub per row of x
+  updates it, so the run is O(m * ceil(n/64)) word operations whatever
+  R is.  It wins where rows have many matches (small alphabets).
+
+A named backend (``veb``, ``tree``, ``array``) runs the counted
+``ThresholdSet`` from ``make_threshold_set`` instead; those are the
+paper's structures and the references the tests audit.
+
+Reconstruction runs one of two trace builders, picked by the same cost
+function with its own constants.  ``_bisect_trace`` runs the bisect
+kernel's slot rule and records, per match, its predecessor match and its
+column (O(R) space).  ``_bitpar_trace`` keeps every row's V (rows with
+no match share the previous one) and walks back from (m, n) with one
+masked popcount per row, giving a chain-only trace of the L matched
+columns; where it is chosen its rows hold fewer than
+``BITPAR_WORDS_PER_MATCH * R`` 64-bit words, a bound known before the
+work starts.  Either trace is read back by ``extract_lcs`` in O(L).  A
+dense Wagner-Fischer table serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .matching import MatchStats, PositionLists, Sequence, build_position_lists, count_matches
 from .threshold import ArrayBackend, OpCounters, RowCost, make_threshold_set
@@ -40,19 +57,53 @@ __all__ = [
     "validate_common_subsequence",
     "DEFAULT_TRACE_CAP",
     "DEFAULT_DP_CAP",
-    "KERNEL_NAME",
+    "KERNEL_NAMES",
+    "BITPAR_WORDS_PER_MATCH",
 ]
 
-DEFAULT_TRACE_CAP = 1 << 26  # max match records for reconstruction
+DEFAULT_TRACE_CAP = 1 << 26  # max matches R that reconstruction takes on
 DEFAULT_DP_CAP = 1 << 26  # max cells in the dense oracle table
-KERNEL_NAME = "bisect"  # the backend name the default kernel reports
+KERNEL_NAMES = ("bisect", "bitpar")  # the names the two kernels report
+
+
+class _KernelCosts(NamedTuple):
+    """Calibrated costs, in units of one 64-bit word of bitpar row work.
+
+    ``row`` is bitpar's fixed cost per row of x; ``match`` is bisect's
+    cost per match.
+    """
+
+    row: int
+    match: int
+
+
+# 2-core x86_64, Python 3.11: bitpar length costs about 0.4 us + 0.012 us
+# per word per row and bisect about 0.25 us per match; reconstruction
+# stores and walks back the rows (0.8 us + 0.03 us per word per row)
+# against about 0.4 us per recorded match.
+_LENGTH_COSTS = _KernelCosts(row=33, match=21)
+_RECON_COSTS = _KernelCosts(row=27, match=13)
+
+# Where _choose_kernel picks bitpar, m * ceil(n/64) < costs.match * R.
+BITPAR_WORDS_PER_MATCH = _RECON_COSTS.match
+
+
+def _choose_kernel(r: int, m: int, n: int, costs: _KernelCosts) -> str:
+    """``bitpar`` when m rows of (row + ceil(n/64)) words cost less than R matches.
+
+    On R <= m (one match per row or fewer, as in line diffs) it always
+    picks ``bisect``, because ``costs.row`` exceeds ``costs.match``.
+    """
+    if m * (costs.row + (n + 63) // 64) < costs.match * r:
+        return "bitpar"
+    return "bisect"
 
 
 class ReconstructionCapError(MemoryError):
-    """R exceeds the trace memory cap; caller may fall back to length-only."""
+    """R exceeds the reconstruction cap; caller may fall back to length-only."""
 
     def __init__(self, r: int, cap: int):
-        super().__init__(f"reconstruction needs {r} trace entries, cap is {cap}")
+        super().__init__(f"reconstruction needs R = {r} matches, cap is {cap}")
         self.r = r
         self.cap = cap
 
@@ -69,14 +120,14 @@ class TraceTable:
     """Per-match reconstruction records (1-indexed by match number).
 
     predecessor[k] is the match number of the chain predecessor (0 =
-    none); column[k] is the matched column; occupant[j] is the match
-    number currently holding column j in the threshold set (index 0 is
-    the zero sentinel).
+    none) and column[k] the matched column.  The bisect builder records
+    all R matches; the bitpar builder records only the LCS chain, so
+    there count = L, predecessor[k] = k - 1 and column[k] is the k-th
+    LCS column.
     """
 
     predecessor: list[int]
     column: list[int]
-    occupant: list[int]
     count: int = 0
 
 
@@ -124,6 +175,30 @@ def _threshold_rows(symbols: tuple[int, ...], lists: dict[int, list[int]]) -> li
     return s
 
 
+def _symbol_masks(symbols: tuple[int, ...], lists: dict[int, list[int]]) -> dict[int, int]:
+    """Bit j-1 set for each column j of the symbol, for the symbols x and y share."""
+    masks = {}
+    for sym in set(symbols).intersection(lists):
+        mask = 0
+        for j in lists[sym]:
+            mask |= 1 << (j - 1)
+        masks[sym] = mask
+    return masks
+
+
+def _bitpar_rows(symbols: tuple[int, ...], lists: dict[int, list[int]], n: int) -> int:
+    """LCS length by the bit-parallel row update; L is the count of 0 bits in V."""
+    masks = _symbol_masks(symbols, lists)
+    full = (1 << n) - 1
+    v = full
+    for sym in symbols:
+        mask = masks.get(sym)
+        if mask is not None:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return n - v.bit_count()
+
+
 def _kernel_counters(r: int, length: int) -> OpCounters:
     """The counts a counted set makes for the kernel's updates.
 
@@ -139,13 +214,18 @@ def lcs_length(
     backend: str = "auto",
     position_lists: PositionLists | None = None,
 ) -> LcsResult:
-    """LCS length of x and y: the kernel for ``auto``, else the named set."""
+    """LCS length of x and y: a kernel for ``auto``/``bisect``/``bitpar``, else the named set."""
     pl = position_lists if position_lists is not None else build_position_lists(y)
     stats = count_matches(x, pl)
     if backend == "auto":
-        length = len(_threshold_rows(x.symbols, pl.lists)) - 1
+        backend = _choose_kernel(stats.r, stats.m, stats.n, _LENGTH_COSTS)
+    if backend in KERNEL_NAMES:
+        if backend == "bisect":
+            length = len(_threshold_rows(x.symbols, pl.lists)) - 1
+        else:
+            length = _bitpar_rows(x.symbols, pl.lists, pl.length)
         stats.l = length
-        return LcsResult(length, None, stats, _kernel_counters(stats.r, length), KERNEL_NAME)
+        return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend)
     ts = make_threshold_set(max(pl.length, 1), backend)
     if stats.r == 0:
         stats.l = 0
@@ -171,34 +251,21 @@ def lcs_length(
     )
 
 
-def lcs_reconstruct(
-    x: Sequence,
-    y: Sequence,
-    position_lists: PositionLists | None = None,
-    memory_cap: int = DEFAULT_TRACE_CAP,
-) -> LcsResult:
-    """LCS length plus one actual subsequence, on the default kernel's slot rule."""
-    pl = position_lists if position_lists is not None else build_position_lists(y)
-    stats = count_matches(x, pl)
-    if stats.r == 0:
-        stats.l = 0
-        return LcsResult(0, (), stats, OpCounters(), KERNEL_NAME)
-    if stats.r > memory_cap:
-        raise ReconstructionCapError(stats.r, memory_cap)
-    trace = TraceTable(
-        predecessor=[0] * (stats.r + 1),
-        column=[0] * (stats.r + 1),
-        occupant=[0] * (pl.length + 1),
-    )
+def _bisect_trace(
+    symbols: tuple[int, ...], lists: dict[int, list[int]], n: int, r: int
+) -> tuple[TraceTable, int, int]:
+    """Every match's record on the bisect kernel's slot rule; returns (trace, last match, L).
+
+    Pred(j) is the new occupant's left neighbour S[k-1], and the sentinel
+    S[0] = 0 maps to "no predecessor"; the last match holds S[L].
+    """
+    trace = TraceTable(predecessor=[0] * (r + 1), column=[0] * (r + 1))
     pred_k = trace.predecessor
     col_k = trace.column
-    occ = trace.occupant
-    lists = pl.lists
+    occ = [0] * (n + 1)  # occ[j]: the match number holding column j in S
     m = 0
-    # the slot rule of _threshold_rows; Pred(j) is the new occupant's left
-    # neighbour S[k-1], and the sentinel S[0] = 0 maps to "no predecessor"
     s = [0]
-    for sym in x.symbols:
+    for sym in symbols:
         positions = lists.get(sym)
         if positions is None:
             continue
@@ -216,8 +283,77 @@ def lcs_reconstruct(
             col_k[m] = j
             occ[j] = m
     trace.count = m
-    length = len(s) - 1
-    subseq = extract_lcs(trace, occ[s[-1]], y)
+    return trace, occ[s[-1]], len(s) - 1
+
+
+def _bitpar_trace(
+    symbols: tuple[int, ...], lists: dict[int, list[int]], n: int
+) -> tuple[TraceTable, int, int]:
+    """The LCS chain from the stored bitpar rows; returns (trace, last match, L).
+
+    With V_i the row after x_i, the DP value at (i, j) is j minus the 1
+    bits of V_i below bit j.  Walking back from (m, n) at value k: when
+    V_{i-1} gives k too, x_i is not needed; otherwise the highest 0 bit
+    of V_i below bit j is bit c-1 of a column c <= j where x_i = y_c and
+    (i-1, c-1) has value k-1.
+    """
+    masks = _symbol_masks(symbols, lists)
+    full = (1 << n) - 1
+    v = full
+    rows = [v]
+    append = rows.append
+    for sym in symbols:
+        mask = masks.get(sym)
+        if mask is not None:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+        append(v)
+    length = n - v.bit_count()
+    cols = [0] * (length + 1)
+    k = length
+    j = n
+    low = full  # the bits below bit j
+    i = len(symbols)
+    while k:
+        cur = rows[i]
+        i -= 1
+        prev = rows[i]
+        if prev is cur or j - (prev & low).bit_count() == k:
+            continue
+        j = (low & ~cur).bit_length()
+        cols[k] = j
+        k -= 1
+        j -= 1
+        low = (1 << j) - 1
+    trace = TraceTable(predecessor=[0, *range(length)], column=cols, count=length)
+    return trace, length, length
+
+
+def lcs_reconstruct(
+    x: Sequence,
+    y: Sequence,
+    position_lists: PositionLists | None = None,
+    memory_cap: int = DEFAULT_TRACE_CAP,
+    backend: str = "auto",
+) -> LcsResult:
+    """LCS length plus one actual subsequence, from the ``bisect`` or ``bitpar`` trace.
+
+    Raises ``ReconstructionCapError`` when R exceeds ``memory_cap``,
+    before any work.
+    """
+    pl = position_lists if position_lists is not None else build_position_lists(y)
+    stats = count_matches(x, pl)
+    if stats.r > memory_cap:
+        raise ReconstructionCapError(stats.r, memory_cap)
+    if backend == "auto":
+        backend = _choose_kernel(stats.r, stats.m, stats.n, _RECON_COSTS)
+    if backend == "bisect":
+        trace, last, length = _bisect_trace(x.symbols, pl.lists, pl.length, stats.r)
+    elif backend == "bitpar":
+        trace, last, length = _bitpar_trace(x.symbols, pl.lists, pl.length)
+    else:
+        raise ValueError(f"unknown backend {backend!r}; expected auto or one of {KERNEL_NAMES}")
+    subseq = extract_lcs(trace, last, y)
     if len(subseq) != length:
         raise RuntimeError(f"extracted {len(subseq)} symbols for L = {length}")
     stats.l = length
@@ -226,7 +362,7 @@ def lcs_reconstruct(
         subsequence=subseq,
         stats=stats,
         counters=_kernel_counters(stats.r, length),
-        backend=KERNEL_NAME,
+        backend=backend,
         trace=trace,
     )
 

@@ -15,8 +15,8 @@ the same contract with different cost profiles:
 They count every operation and are the named ``--backend`` choices and
 the references the tests audit.  ``make_threshold_set`` maps one of
 ``BACKEND_NAMES`` to its backend.  The default path (``auto``) runs none
-of them: ``lcseq.core`` sweeps an uncounted sorted list with bisect
-instead (the Hunt-Szymanski kernel).
+of them: ``lcseq.core`` runs one of its two uncounted kernels instead, a
+sorted list with bisect (Hunt-Szymanski) or a bit-parallel row vector.
 
 Queries use 0 as the "no such element" sentinel, matching the
 positive-integer key space.

@@ -143,16 +143,31 @@ def run_cli_with_literal_guard(*args: str) -> subprocess.CompletedProcess:
 
 
 def overcounting_kernel(symbols, lists, kernel=core._threshold_rows):
-    """The default kernel with one member too many: it reports L + 1."""
+    """The bisect kernel with one member too many: it reports L + 1."""
     s = kernel(symbols, lists)
     return s + [s[-1] + 1]
 
 
 def run_cli_with_overcounting_kernel(*args: str) -> subprocess.CompletedProcess:
-    """`lcseq <args>` in a subprocess whose default kernel reports L + 1."""
+    """`lcseq <args>` in a subprocess whose bisect kernel reports L + 1."""
     return _run_patched_cli(
         "import lcseq.core\n"
         "from helpers import overcounting_kernel\n"
         "lcseq.core._threshold_rows = overcounting_kernel",
+        *args,
+    )
+
+
+def overcounting_bitpar(symbols, lists, n, kernel=core._bitpar_rows):
+    """The bit-parallel length kernel, reporting L + 1."""
+    return kernel(symbols, lists, n) + 1
+
+
+def run_cli_with_overcounting_bitpar(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose bitpar length kernel reports L + 1."""
+    return _run_patched_cli(
+        "import lcseq.core\n"
+        "from helpers import overcounting_bitpar\n"
+        "lcseq.core._bitpar_rows = overcounting_bitpar",
         *args,
     )

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import pytest
 
 from lcseq.core import (
+    KERNEL_NAMES,
     dp_oracle,
     lcs_length,
     lcs_reconstruct,
@@ -54,7 +55,8 @@ def test_criterion_1_exhaustive_equivalence():
             pl = lists[yi]
             for x in strings:
                 expected = int(dp_oracle(x, y)[len(x)][len(y)])
-                for backend in ("veb", "tree", "array"):
+                # the two kernels are checked as independent oracles too
+                for backend in ("veb", "tree", "array", *KERNEL_NAMES):
                     res = lcs_length(x, y, backend=backend, position_lists=pl)
                     assert res.length == expected, (backend, x.symbols, y.symbols)
                     if backend == "veb":
@@ -100,14 +102,16 @@ def random_corpus():
         expected = int(dp_oracle(x, y)[m][n])
         lengths = {}
         results = {}
-        for backend in ("veb", "tree", "array"):
+        for backend in ("veb", "tree", "array", *KERNEL_NAMES):
             res = lcs_length(x, y, backend=backend, position_lists=pl)
             lengths[backend] = res.length
             results[backend] = res
-        recon = lcs_reconstruct(x, y, position_lists=pl)
-        lengths["reconstruct"] = recon.length
+        # both reconstruction paths, whichever `auto` would pick
+        for kernel in KERNEL_NAMES:
+            recon = lcs_reconstruct(x, y, position_lists=pl, backend=kernel)
+            lengths[f"reconstruct[{kernel}]"] = recon.length
+            assert validate_common_subsequence(recon.subsequence, x, y, expected), (idx, kernel)
         assert all(v == expected for v in lengths.values()), (idx, lengths, expected)
-        assert validate_common_subsequence(recon.subsequence, x, y, expected), idx
         audits.append(
             InstanceAudit(
                 r=recon.stats.r,

@@ -10,9 +10,18 @@ import pytest
 
 from lcseq.cli import build_parser
 
-from helpers import run_cli_with_literal_guard, run_cli_with_overcounting_kernel
+from helpers import (
+    run_cli_with_literal_guard,
+    run_cli_with_overcounting_bitpar,
+    run_cli_with_overcounting_kernel,
+)
 
 CLI = [sys.executable, "-m", "lcseq.cli"]
+
+# one match per row (R = 9 < m): the bisect kernel's regime
+ONE_PER_ROW = (b"abcdefghij", b"abcdXfghij")
+# sigma = 2, R = 128 for m = n = 16: the bitpar kernel's regime
+SIGMA_2 = (b"abbabaabbaababba", b"babaabbaabbabaab")
 
 
 def run_cli(*args, stdin: bytes = b""):
@@ -56,9 +65,18 @@ def test_length_backends(tmp_path, backend):
 
 
 def test_auto_picks_bisect(tmp_path):
-    fa, fb = write_pair(tmp_path, b"acgtacgtaa", b"gattacacgt")
+    fa, fb = write_pair(tmp_path, *ONE_PER_ROW)
     payload = json.loads(run_cli("length", fa, fb, "--output", "json").stdout)
     assert payload["backend"] == "bisect"
+    assert (payload["R"], payload["L"]) == (9, 9)
+
+
+def test_auto_picks_bitpar(tmp_path):
+    fa, fb = write_pair(tmp_path, *SIGMA_2)
+    payload = json.loads(run_cli("length", fa, fb, "--output", "json").stdout)
+    assert payload["backend"] == "bitpar"
+    assert payload["R"] == 128
+    assert run_cli("length", fa, fb).stdout.decode().splitlines()[-1] == "backend = bitpar"
 
 
 def test_import_does_not_load_numpy():
@@ -122,9 +140,15 @@ def test_subseq(tmp_path):
 
 
 def test_subseq_json_reports_backend(tmp_path):
-    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
-    payload = json.loads(run_cli("subseq", fa, fb, "--output", "json").stdout)
-    assert payload["backend"] == "bisect"
+    for pair, kernel in ((ONE_PER_ROW, "bisect"), (SIGMA_2, "bitpar")):
+        fa, fb = write_pair(tmp_path, *pair)
+        payload = json.loads(run_cli("subseq", fa, fb, "--output", "json").stdout)
+        assert payload["backend"] == kernel
+        sub = payload["subsequence"].encode()
+        assert len(sub) == payload["L"]
+        for seq in pair:
+            it = iter(seq)
+            assert all(c in it for c in sub)
 
 
 def test_subseq_lines_mode(tmp_path):
@@ -215,6 +239,17 @@ def test_verify_checks_default_kernel(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+def test_verify_checks_bitpar_kernel(tmp_path):
+    # verify runs bitpar by name even where `auto` would pick bisect
+    fa, fb = write_pair(tmp_path, *ONE_PER_ROW)
+    proc = run_cli_with_overcounting_bitpar("verify", fa, fb)
+    assert proc.returncode == 1
+    assert b"length disagreement" in proc.stderr
+    assert b"'bitpar': 10" in proc.stderr
+    assert b"'bisect': 9" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_verify_above_dense_cap_is_resource_error(tmp_path):
     # (8200 + 1)^2 cells exceed the dense oracle's 2^26 cap
     lines = [b"line %d" % i for i in range(8200)]
@@ -242,8 +277,16 @@ def test_bench_json():
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert isinstance(data, list) and data
-    # `auto` rows carry the kernel's name; bench itself checks that the L agree
-    assert [r["backend"] for r in data] == ["bisect", "array"] * 3
+    # `auto` rows carry the kernel's name; bench itself checks that the L agree.
+    # sigma = 4 is dense (R about n^2/4), so auto runs bitpar
+    assert [r["backend"] for r in data] == ["bitpar", "array"] * 3
+    # with 10^6 symbols on n <= 64, R is about 0, so auto runs bisect
+    proc = run_cli(
+        "bench", "--n", "32", "--sigma", "1000000", "--repeats", "1", "--output", "json",
+        "--backend", "auto,array",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [r["backend"] for r in json.loads(proc.stdout)] == ["bisect", "array"] * 3
 
 
 @pytest.mark.parametrize(

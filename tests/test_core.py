@@ -1,13 +1,23 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcseq.core import (
+    _LENGTH_COSTS,
+    _RECON_COSTS,
+    BITPAR_WORDS_PER_MATCH,
+    KERNEL_NAMES,
     DpCapError,
     ReconstructionCapError,
     TraceTable,
+    _bisect_trace,
+    _bitpar_trace,
+    _choose_kernel,
     _threshold_rows,
     dp_oracle,
     dp_traceback,
@@ -17,7 +27,7 @@ from lcseq.core import (
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from lcseq.matching import Sequence, build_position_lists
+from lcseq.matching import Sequence, build_position_lists, count_matches
 from lcseq.threshold import BACKEND_NAMES, ArrayBackend
 
 from helpers import brute_force_lcs_length, from_text
@@ -27,7 +37,7 @@ def rand_seq(rng, max_len, sigma):
     return Sequence(tuple(rng.randrange(sigma) for _ in range(rng.randint(0, max_len))))
 
 
-@pytest.mark.parametrize("backend", (*BACKEND_NAMES, "auto"))
+@pytest.mark.parametrize("backend", (*BACKEND_NAMES, "auto", *KERNEL_NAMES))
 def test_length_examples(backend):
     x, y = from_text("abcbdab"), from_text("bdcaba")
     assert lcs_length(x, y, backend=backend).length == 4
@@ -36,12 +46,63 @@ def test_length_examples(backend):
     assert lcs_length(from_text("ab"), from_text("cd"), backend=backend).length == 0
 
 
-@pytest.mark.parametrize("a, b", [("abcbdab", "bdcaba"), ("ab", "cd")])
+@pytest.mark.parametrize("a, b", [("abcdefghij", "abcdXfghij"), ("ab", "cd")])
 def test_default_backend_is_bisect(a, b):
-    # the second pair has R = 0, which returns before any update
+    # one match per row, and R = 0: the bisect kernel's regime
     x, y = from_text(a), from_text(b)
     assert lcs_length(x, y).backend == "bisect"
     assert lcs_reconstruct(x, y).backend == "bisect"
+
+
+@pytest.mark.parametrize("a, b", [("abbabaabbaababba", "babaabbaabbabaab"), ("aaaaaa", "aaaaaa")])
+def test_default_backend_is_bitpar(a, b):
+    # sigma <= 2, many matches per row: the bitpar kernel's regime
+    x, y = from_text(a), from_text(b)
+    assert lcs_length(x, y).backend == "bitpar"
+    assert lcs_reconstruct(x, y).backend == "bitpar"
+
+
+def test_chooser_regimes():
+    """One match per row keeps bisect at any size; sigma = 2 picks bitpar."""
+    for costs in (_LENGTH_COSTS, _RECON_COSTS):
+        for m in (1, 10, 1000, 60_000, 10**6):
+            for n in (m, 2 * m):
+                assert _choose_kernel(m, m, n, costs) == "bisect"
+                assert _choose_kernel(0, m, n, costs) == "bisect"
+                if m >= 10:
+                    assert _choose_kernel(m * n // 2, m, n, costs) == "bitpar"
+        assert _choose_kernel(0, 0, 0, costs) == "bisect"
+
+
+def test_bitpar_row_memory_bound():
+    """Where the chooser picks bitpar, m * ceil(n/64) words < BITPAR_WORDS_PER_MATCH * R."""
+    rng = random.Random(64)
+    picked = 0
+    for _ in range(20_000):
+        m, n = rng.randint(0, 1 << 17), rng.randint(0, 1 << 17)
+        r = int(m * n * rng.random() ** 4)
+        if _choose_kernel(r, m, n, _RECON_COSTS) == "bitpar":
+            picked += 1
+            assert m * ((n + 63) // 64) < BITPAR_WORDS_PER_MATCH * r, (r, m, n)
+    assert picked > 1000
+    # and the builder stores what the bound counts: m + 1 rows and at most
+    # sigma masks of n bits each (CPython: 4 bytes per 30-bit digit plus a
+    # header), a few temporaries, and the O(L) chain
+    for sigma, m, n in ((2, 1500, 2000), (4, 2000, 1500), (26, 2000, 2000)):
+        x = Sequence(tuple(rng.randrange(sigma) for _ in range(m)))
+        y = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
+        pl = build_position_lists(y)
+        r = count_matches(x, pl).r
+        assert _choose_kernel(r, m, n, _RECON_COSTS) == "bitpar"
+        tracemalloc.start()
+        try:
+            _bitpar_trace(x.symbols, pl.lists, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_bytes = 32 + 4 * -(-n // 30)
+        # per row of x: a list slot for its row, and two chain entries (slot + int)
+        assert peak < (m + 1 + sigma + 4) * row_bytes + 96 * (m + 1) + 4096, (sigma, peak)
 
 
 def test_kernel_rows_equal_array_backend():
@@ -93,17 +154,17 @@ def test_reconstruct_examples():
 
 
 def test_extract_lcs_base_case():
-    trace = TraceTable(predecessor=[0], column=[0], occupant=[0])
+    trace = TraceTable(predecessor=[0], column=[0])
     assert extract_lcs(trace, 0, from_text("bdcaba")) == ()
 
 
 def test_extract_lcs_single_match():
-    trace = TraceTable(predecessor=[0, 0], column=[0, 3], occupant=[0])
+    trace = TraceTable(predecessor=[0, 0], column=[0, 3])
     assert bytes(extract_lcs(trace, 1, from_text("bdcaba"))) == b"c"
 
 
 def test_extract_lcs_chain():
-    trace = TraceTable(predecessor=[0, 0, 1], column=[0, 2, 5], occupant=[0])
+    trace = TraceTable(predecessor=[0, 0, 1], column=[0, 2, 5])
     assert bytes(extract_lcs(trace, 2, from_text("bdcaba"))) == b"db"
 
 
@@ -172,11 +233,12 @@ def test_random_equivalence_and_validity():
         x, y = rand_seq(rng, 80, sigma), rand_seq(rng, 80, sigma)
         pl = build_position_lists(y)
         expected = int(dp_oracle(x, y)[len(x)][len(y)])
-        for backend in BACKEND_NAMES:
+        for backend in (*BACKEND_NAMES, *KERNEL_NAMES):
             assert lcs_length(x, y, backend=backend, position_lists=pl).length == expected
-        res = lcs_reconstruct(x, y, position_lists=pl)
-        assert res.length == expected
-        assert validate_common_subsequence(res.subsequence, x, y, expected)
+        for backend in ("auto", *KERNEL_NAMES):
+            res = lcs_reconstruct(x, y, position_lists=pl, backend=backend)
+            assert res.length == expected
+            assert validate_common_subsequence(res.subsequence, x, y, expected)
 
 
 def test_symmetry_identity_monotonicity():
@@ -230,12 +292,9 @@ def test_chain_geometry():
     rng = random.Random(41)
     for _ in range(40):
         x, y = rand_seq(rng, 50, 2), rand_seq(rng, 50, 2)
-        res = lcs_reconstruct(x, y)
-        trace = res.trace
-        if trace is None:
-            continue
-        # matches are numbered row by row in enumeration order
         pl = build_position_lists(y)
+        trace, _, _ = _bisect_trace(x.symbols, pl.lists, pl.length, count_matches(x, pl).r)
+        # matches are numbered row by row in enumeration order
         row = [0]
         for i, sym in enumerate(x.symbols, start=1):
             row.extend([i] * len(pl.positions(sym)))
@@ -245,6 +304,53 @@ def test_chain_geometry():
             if p:
                 assert trace.column[p] < trace.column[k]
                 assert row[p] < row[k]
+
+
+def _check_bitpar_chain(x, y):
+    pl = build_position_lists(y)
+    expected = int(dp_oracle(x, y)[len(x)][len(y)])
+    trace, last, length = _bitpar_trace(x.symbols, pl.lists, pl.length)
+    assert trace.count == last == length == expected
+    assert trace.predecessor == [0, *range(length)]
+    cols = trace.column[1:]
+    assert len(cols) == length and all(0 < a < b for a, b in zip(cols, cols[1:]))
+    sub = extract_lcs(trace, last, y)
+    assert sub == tuple(y.symbols[j - 1] for j in cols)
+    assert validate_common_subsequence(sub, x, y, expected)
+
+
+def test_bitpar_trace_chain():
+    """The bitpar trace is the LCS chain: count = L, predecessor[k] = k - 1, rising columns."""
+    rng = random.Random(43)
+    for idx in range(200):
+        sigma = (1, 2, 3, 4, 26)[idx % 5]
+        _check_bitpar_chain(rand_seq(rng, 60, sigma), rand_seq(rng, 60, sigma))
+    x, y = from_text("abcbdab"), from_text("bdcaba")
+    res = lcs_reconstruct(x, y, backend="bitpar")
+    assert res.backend == "bitpar" and res.trace.count == res.length == 4
+    assert lcs_reconstruct(from_text(""), y, backend="bitpar").trace.count == 0
+
+
+_small_pairs = st.integers(1, 5).flatmap(
+    lambda sigma: st.tuples(
+        st.lists(st.integers(0, sigma - 1), max_size=40),
+        st.lists(st.integers(0, sigma - 1), max_size=40),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_pairs)
+def test_hypothesis_bitpar_vs_oracle(pair):
+    x, y = Sequence(tuple(pair[0])), Sequence(tuple(pair[1]))
+    expected = int(dp_oracle(x, y)[len(x)][len(y)])
+    assert lcs_length(x, y, backend="bitpar").length == expected
+    _check_bitpar_chain(x, y)
+
+
+def test_reconstruct_rejects_unknown_backend():
+    with pytest.raises(ValueError):
+        lcs_reconstruct(from_text("ab"), from_text("ab"), backend="veb")
 
 
 def test_reconstruction_memory_cap():
