@@ -7,39 +7,64 @@ successor-replacement update on a plain sorted list with bisect
 tree, sorted vector) drive the same update as the paper's structures.
 Reconstruction records a per-match predecessor trace in O(R) space, or,
 on the bit-parallel path, keeps the rows and walks back the LCS chain.
+
+The names in ``__all__`` are exported lazily (PEP 562): ``import lcseq``
+loads no submodule, and the first lookup of a name imports the one
+module that defines it.  So ``from lcseq import lcs_length`` loads
+``core``, ``matching`` and ``threshold``, and not the benchmark harness,
+the shadow checker or the vEB and AVL trees.
 """
 
-from .bench import BenchCase, emit_report, gen_pair, gen_sequence, run_bench
-from .core import (
-    DpCapError,
-    LcsResult,
-    ReconstructionCapError,
-    TraceTable,
-    dp_oracle,
-    dp_traceback,
-    extract_lcs,
-    lcs_length,
-    lcs_reconstruct,
-    validate_common_subsequence,
-)
-from .matching import (
-    MatchStats,
-    PositionLists,
-    Sequence,
-    SymbolTable,
-    build_position_lists,
-    count_matches,
-    tokenize,
-)
-from .shadow import InvariantViolation, ShadowState, ShadowTracker, shadow_run
-from .threshold import (
-    ArrayBackend,
-    OpCounters,
-    ThresholdSet,
-    TreeBackend,
-    VebBackend,
-    make_threshold_set,
-)
-from .veb import VebTree
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "bench": ("BenchCase", "emit_report", "gen_pair", "gen_sequence", "run_bench"),
+    "core": (
+        "DpCapError",
+        "LcsResult",
+        "ReconstructionCapError",
+        "TraceTable",
+        "dp_oracle",
+        "extract_lcs",
+        "lcs_length",
+        "lcs_reconstruct",
+        "validate_common_subsequence",
+    ),
+    "matching": (
+        "MatchStats",
+        "PositionLists",
+        "Sequence",
+        "SymbolTable",
+        "build_position_lists",
+        "count_matches",
+        "tokenize",
+    ),
+    "shadow": ("InvariantViolation", "ShadowState", "ShadowTracker", "shadow_run"),
+    "threshold": (
+        "ArrayBackend",
+        "OpCounters",
+        "ThresholdSet",
+        "TreeBackend",
+        "VebBackend",
+        "make_threshold_set",
+    ),
+    "veb": ("VebTree",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

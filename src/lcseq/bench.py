@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .core import dp_oracle, lcs_length
+from .core import BENCH_BACKENDS, STRUCTURES, dp_oracle, lcs_length
 from .matching import Sequence, build_position_lists, count_matches
 from .threshold import BACKEND_NAMES, OpCounters
 
@@ -30,9 +30,6 @@ __all__ = [
     "emit_report",
     "default_cases",
 ]
-
-STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
-BENCH_BACKENDS = (*BACKEND_NAMES, "auto", "dp_oracle")
 
 
 class BenchDisagreement(RuntimeError):

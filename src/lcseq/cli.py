@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error,
 3 resource cap exceeded.
+
+``length`` and ``subseq`` load only this module, ``core``, ``matching``
+and ``threshold``; ``verify`` and ``bench`` import the shadow checker
+and the benchmark harness when they run.  ``main`` builds the parser on
+its first call and reuses it for the rest of the process.
 """
 
 from __future__ import annotations
@@ -9,12 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
-from . import bench as bench_mod
 from .core import (
+    BENCH_BACKENDS,
     BITPAR_WORDS_PER_MATCH,
     DEFAULT_TRACE_CAP,
     KERNEL_NAMES,
+    STRUCTURES,
     DpCapError,
     ReconstructionCapError,
     dp_oracle,
@@ -23,7 +30,6 @@ from .core import (
     validate_common_subsequence,
 )
 from .matching import MODES, Sequence, SymbolTable, build_position_lists, count_matches, tokenize
-from .shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, shadow_run
 from .threshold import BACKEND_NAMES
 
 EXIT_OK = 0
@@ -110,6 +116,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, shadow_run
+
     x, y, _ = _load_pair(args)
     pl = build_position_lists(y)
     lengths: dict[str, int] = {}
@@ -146,6 +154,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     cases = bench_mod.default_cases(
         n=args.n,
         sigma=args.sigma,
@@ -168,14 +178,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _bench_backends(text: str) -> tuple[str, ...]:
     names = tuple(text.split(","))
-    if not set(names) <= set(bench_mod.BENCH_BACKENDS):
-        raise argparse.ArgumentTypeError(f"{text!r} has an item not in {bench_mod.BENCH_BACKENDS}")
+    if not set(names) <= set(BENCH_BACKENDS):
+        raise argparse.ArgumentTypeError(f"{text!r} has an item not in {BENCH_BACKENDS}")
     return names
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``lcseq`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lcseq",
         description="Longest common subsequence via threshold sets.",
@@ -191,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=("text", "json"), default="text")
 
     def add_memory_cap(p):
-        p.add_argument("--memory-cap", type=int, default=DEFAULT_TRACE_CAP,
+        p.add_argument("--memory-cap", type=_non_negative_int, default=DEFAULT_TRACE_CAP,
                        dest="memory_cap",
                        help="most matches R that reconstruction takes on, checked before "
                             "any work (exit 3 above it); within it the bisect trace holds "
@@ -225,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=128)
     p.add_argument("--sigma", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--structure", choices=bench_mod.STRUCTURES,
+    p.add_argument("--structure", choices=STRUCTURES,
                    default="uniform_random")
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--backend", type=_bench_backends, default=",".join(BACKEND_NAMES))
@@ -234,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ReconstructionCapError, DpCapError) as exc:

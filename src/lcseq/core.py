@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .matching import MatchStats, PositionLists, Sequence, build_position_lists, count_matches
-from .threshold import ArrayBackend, OpCounters, RowCost, make_threshold_set
+from .threshold import BACKEND_NAMES, ArrayBackend, OpCounters, RowCost, make_threshold_set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,18 +52,25 @@ __all__ = [
     "lcs_reconstruct",
     "extract_lcs",
     "dp_oracle",
-    "dp_traceback",
     "is_subsequence",
     "validate_common_subsequence",
     "DEFAULT_TRACE_CAP",
     "DEFAULT_DP_CAP",
     "KERNEL_NAMES",
     "BITPAR_WORDS_PER_MATCH",
+    "BENCH_BACKENDS",
+    "STRUCTURES",
 ]
 
 DEFAULT_TRACE_CAP = 1 << 26  # max matches R that reconstruction takes on
 DEFAULT_DP_CAP = 1 << 26  # max cells in the dense oracle table
 KERNEL_NAMES = ("bisect", "bitpar")  # the names the two kernels report
+
+# The `lcseq bench` choices, kept here rather than in `lcseq.bench` so that
+# the CLI parser lists them without importing the benchmark harness:
+# the length methods a bench case runs by name, and its input shapes.
+BENCH_BACKENDS = (*BACKEND_NAMES, "auto", "dp_oracle")
+STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
 
 
 class _KernelCosts(NamedTuple):
@@ -395,23 +402,6 @@ def dp_oracle(
         np.maximum.accumulate(cand, out=cand)
         table[i, 1:] = cand
     return table
-
-
-def dp_traceback(table: np.ndarray, x: Sequence, y: Sequence) -> tuple[int, ...]:
-    """One LCS read off the dense table."""
-    i, j = len(x.symbols), len(y.symbols)
-    out: list[int] = []
-    while i > 0 and j > 0:
-        if x.symbols[i - 1] == y.symbols[j - 1] and table[i][j] == table[i - 1][j - 1] + 1:
-            out.append(x.symbols[i - 1])
-            i -= 1
-            j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
-            i -= 1
-        else:
-            j -= 1
-    out.reverse()
-    return tuple(out)
 
 
 def is_subsequence(candidate: tuple[int, ...], seq: Sequence) -> bool:

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bst import AvlTree
-from .veb import VebTree
+if TYPE_CHECKING:
+    from .bst import AvlTree
+    from .veb import VebTree
 
 __all__ = [
     "OpCounters",
@@ -145,6 +146,8 @@ class VebBackend(ThresholdSet):
     name = "veb"
 
     def __init__(self, capacity: int):
+        from .veb import VebTree  # imported here: the default path builds no tree
+
         super().__init__(capacity)
         self.tree = VebTree(capacity + 1)
 
@@ -155,6 +158,8 @@ class TreeBackend(ThresholdSet):
     name = "tree"
 
     def __init__(self, capacity: int):
+        from .bst import AvlTree  # imported here: the default path builds no tree
+
         super().__init__(capacity)
         self.tree = AvlTree()
 

@@ -90,6 +90,92 @@ def test_import_does_not_load_numpy():
     assert proc.stdout.strip() == b"False"
 
 
+_DEFAULT_PATH_PROBE = """\
+import sys
+import lcseq.cli
+for kind in ("length", "subseq"):
+    assert lcseq.cli.main([kind, *sys.argv[1:]]) == 0
+print([m for m in ("lcseq.bench", "lcseq.shadow", "lcseq.veb", "lcseq.bst", "numpy")
+       if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("pair", [ONE_PER_ROW, SIGMA_2], ids=["bisect", "bitpar"])
+def test_length_and_subseq_load_only_the_default_path(tmp_path, pair):
+    # the benchmark harness, the shadow checker, the counted trees and the
+    # oracle's numpy stay unloaded on the user path
+    fa, fb = write_pair(tmp_path, *pair)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_PATH_PROBE, fa, fb], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == b"[]"
+
+
+_REUSE_PROBE = """\
+import argparse, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+from lcseq.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    results.append([rc, out.getvalue(), len(built)])
+print(json.dumps(results))
+"""
+
+
+def _comparable(argv, stdout: str) -> str:
+    # bench rows carry a measured time; everything else must match exactly
+    if argv[0] != "bench":
+        return stdout
+    return json.dumps([{k: v for k, v in row.items() if k != "time_ns"}
+                       for row in json.loads(stdout)])
+
+
+def test_main_reuses_one_stateless_parser(tmp_path):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    la, lb = tmp_path / "la", tmp_path / "lb"
+    la.write_bytes(b"alpha\nbeta\ngamma\n")
+    lb.write_bytes(b"alpha\ngamma\ndelta\n")
+    bench = ["bench", "--n", "8", "--repeats", "1", "--output", "json"]
+    runs = [
+        ["length", fa, fb, "--output", "json"],
+        ["length", fa, fb],
+        ["subseq", str(la), str(lb), "--mode", "lines"],
+        ["subseq", str(la), str(lb)],
+        ["length", fa],
+        [*bench, "--backend", "auto"],
+        bench,
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _REUSE_PROBE, json.dumps(runs)], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    # the first call builds the parser and its five subparsers; no later call builds one
+    assert [built for _, _, built in results] == [6] * len(runs)
+    assert [rc for rc, _, _ in results] == [0, 0, 0, 0, 2, 0, 0]
+    for argv, (rc, stdout, _) in zip(runs, results):
+        fresh = run_cli(*argv)
+        assert rc == fresh.returncode, argv
+        assert _comparable(argv, stdout) == _comparable(argv, fresh.stdout.decode()), argv
+
+
 def test_subcommand_options():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {
@@ -195,6 +281,16 @@ def test_exit_code_memory_cap(tmp_path):
     proc = run_cli("subseq", fa, fb, "--memory-cap", "8")
     assert proc.returncode == 3
     assert b"16" in proc.stderr  # the measured R is reported
+
+
+@pytest.mark.parametrize("kind,cap", [("subseq", "-1"), ("verify", "-5")])
+def test_negative_memory_cap_is_usage_error(tmp_path, kind, cap):
+    fa, fb = write_pair(tmp_path, b"ab", b"cd")  # R = 0, within any cap
+    proc = run_cli(kind, fa, fb, "--memory-cap", cap)
+    assert proc.returncode == 2
+    assert b"usage:" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert run_cli(kind, fa, fb, "--memory-cap", "0").returncode == 0
 
 
 def test_verify_memory_cap(tmp_path):

@@ -20,7 +20,6 @@ from lcseq.core import (
     _choose_kernel,
     _threshold_rows,
     dp_oracle,
-    dp_traceback,
     extract_lcs,
     is_subsequence,
     lcs_length,
@@ -201,15 +200,6 @@ def test_dp_oracle_prefix_semantics():
             xi = Sequence(x.symbols[:i])
             yj = Sequence(y.symbols[:j])
             assert table[i][j] == brute_force_lcs_length(xi, yj)
-
-
-def test_dp_traceback_is_valid():
-    rng = random.Random(8)
-    for _ in range(30):
-        x, y = rand_seq(rng, 20, 3), rand_seq(rng, 20, 3)
-        table = dp_oracle(x, y)
-        sub = dp_traceback(table, x, y)
-        assert validate_common_subsequence(sub, x, y, int(table[len(x)][len(y)]))
 
 
 def test_exhaustive_tiny_vs_brute_force():
