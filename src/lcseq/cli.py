@@ -29,7 +29,7 @@ from .core import (
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from .matching import MODES, Sequence, SymbolTable, build_position_lists, count_matches, tokenize
+from .matching import MODES, Sequence, build_position_lists, count_matches, tokenize
 from .threshold import BACKEND_NAMES
 
 EXIT_OK = 0
@@ -47,11 +47,10 @@ def _read_input(path: str, allow_stdin: bool) -> bytes:
         return fh.read()
 
 
-def _load_pair(args) -> tuple[Sequence, Sequence, SymbolTable | None]:
-    table = SymbolTable() if args.mode == "lines" else None
-    x = tokenize(_read_input(args.inputs[0], allow_stdin=True), args.mode, table)
-    y = tokenize(_read_input(args.inputs[1], allow_stdin=False), args.mode, table)
-    return x, y, table
+def _load_pair(args) -> tuple[Sequence, Sequence]:
+    x = tokenize(_read_input(args.inputs[0], allow_stdin=True), args.mode)
+    y = tokenize(_read_input(args.inputs[1], allow_stdin=False), args.mode)
+    return x, y
 
 
 def _emit(payload: dict, output: str, text_lines: list[str]) -> None:
@@ -62,14 +61,15 @@ def _emit(payload: dict, output: str, text_lines: list[str]) -> None:
             print(line)
 
 
-def _render_tokens(tokens, mode: str, table: SymbolTable | None) -> str:
-    if mode == "lines" and table is not None:
-        return "\n".join(table.lines[t].decode("utf-8", "replace") for t in tokens)
+def _render_tokens(tokens, mode: str) -> str:
+    # a line token holds no line break, so no UTF-8 sequence spans two lines
+    if mode == "lines":
+        return b"\n".join(tokens).decode("utf-8", "replace")
     return bytes(tokens).decode("latin-1")
 
 
 def cmd_length(args) -> int:
-    x, y, _ = _load_pair(args)
+    x, y = _load_pair(args)
     result = lcs_length(x, y, backend=args.backend)
     payload = {
         "m": len(x),
@@ -83,12 +83,12 @@ def cmd_length(args) -> int:
 
 
 def cmd_subseq(args) -> int:
-    x, y, table = _load_pair(args)
+    x, y = _load_pair(args)
     result = lcs_reconstruct(x, y, memory_cap=args.memory_cap)
     if not validate_common_subsequence(result.subsequence, x, y, result.length):
         print("internal error: reconstructed subsequence failed validation", file=sys.stderr)
         return EXIT_MISMATCH
-    rendered = _render_tokens(result.subsequence, args.mode, table)
+    rendered = _render_tokens(result.subsequence, args.mode)
     payload = {
         "m": len(x),
         "n": len(y),
@@ -102,7 +102,7 @@ def cmd_subseq(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    x, y, _ = _load_pair(args)
+    x, y = _load_pair(args)
     pl = build_position_lists(y)
     stats = count_matches(x, pl)
     payload = {
@@ -118,7 +118,7 @@ def cmd_stats(args) -> int:
 def cmd_verify(args) -> int:
     from .shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, shadow_run
 
-    x, y, _ = _load_pair(args)
+    x, y = _load_pair(args)
     pl = build_position_lists(y)
     lengths: dict[str, int] = {}
     # both kernels by name, whichever `auto` would pick

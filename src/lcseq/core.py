@@ -15,6 +15,14 @@ from R (which ``count_matches`` gives before any work), m and n:
   updates it, so the run is O(m * ceil(n/64)) word operations whatever
   R is.  It wins where rows have many matches (small alphabets).
 
+When every token of y is distinct, each row has at most one match, and
+``bisect`` needs no position lists: ``column_map`` gives each row's
+column from one dict built in C, R is the count of rows that have one,
+and the sweep is the single-match slot rule (Hunt and Szymanski 1977
+reduce to a longest increasing subsequence of the columns).  ``auto``
+picks ``bisect`` there anyway, since R <= m.  ``column_map`` rules the
+path out in O(1) when y repeats a token early.
+
 A named backend (``veb``, ``tree``, ``array``) runs the counted
 ``ThresholdSet`` from ``make_threshold_set`` instead; those are the
 paper's structures and the references the tests audit.
@@ -22,7 +30,8 @@ paper's structures and the references the tests audit.
 Reconstruction runs one of two trace builders, picked by the same cost
 function with its own constants.  ``_bisect_trace`` runs the bisect
 kernel's slot rule and records, per match, its predecessor match and its
-column (O(R) space).  ``_bitpar_trace`` keeps every row's V (rows with
+column (O(R) space); ``_distinct_trace`` records the same on the
+single-match path.  ``_bitpar_trace`` keeps every row's V (rows with
 no match share the previous one) and walks back from (m, n) with one
 masked popcount per row, giving a chain-only trace of the L matched
 columns; where it is chosen its rows hold fewer than
@@ -37,10 +46,19 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .matching import MatchStats, PositionLists, Sequence, build_position_lists, count_matches
+from .matching import (
+    MatchStats,
+    PositionLists,
+    Sequence,
+    build_position_lists,
+    column_map,
+    count_matches,
+)
 from .threshold import BACKEND_NAMES, ArrayBackend, OpCounters, RowCost, make_threshold_set
 
 if TYPE_CHECKING:
+    from collections.abc import Hashable
+
     import numpy as np
 
 __all__ = [
@@ -69,7 +87,7 @@ KERNEL_NAMES = ("bisect", "bitpar")  # the names the two kernels report
 # The `lcseq bench` choices, kept here rather than in `lcseq.bench` so that
 # the CLI parser lists them without importing the benchmark harness:
 # the length methods a bench case runs by name, and its input shapes.
-BENCH_BACKENDS = (*BACKEND_NAMES, "auto", "dp_oracle")
+BENCH_BACKENDS = (*BACKEND_NAMES, *KERNEL_NAMES, "auto", "dp_oracle")
 STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
 
 
@@ -141,7 +159,7 @@ class TraceTable:
 @dataclass
 class LcsResult:
     length: int
-    subsequence: tuple[int, ...] | None
+    subsequence: tuple[Hashable, ...] | None
     stats: MatchStats
     counters: OpCounters
     backend: str
@@ -156,7 +174,7 @@ def _check_op_budget(counters: OpCounters, r: int) -> None:
         raise RuntimeError(f"{ops} structure operations for R = {r} exceeds 4R")
 
 
-def _threshold_rows(symbols: tuple[int, ...], lists: dict[int, list[int]]) -> list[int]:
+def _threshold_rows(symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]]) -> list[int]:
     """Final threshold set S of the Hunt-Szymanski sweep, as a sorted list.
 
     S[0] is a 0 sentinel and S[1..L] the set.  A row's columns arrive in
@@ -182,7 +200,9 @@ def _threshold_rows(symbols: tuple[int, ...], lists: dict[int, list[int]]) -> li
     return s
 
 
-def _symbol_masks(symbols: tuple[int, ...], lists: dict[int, list[int]]) -> dict[int, int]:
+def _symbol_masks(
+    symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]]
+) -> dict[Hashable, int]:
     """Bit j-1 set for each column j of the symbol, for the symbols x and y share."""
     masks = {}
     for sym in set(symbols).intersection(lists):
@@ -193,7 +213,7 @@ def _symbol_masks(symbols: tuple[int, ...], lists: dict[int, list[int]]) -> dict
     return masks
 
 
-def _bitpar_rows(symbols: tuple[int, ...], lists: dict[int, list[int]], n: int) -> int:
+def _bitpar_rows(symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], n: int) -> int:
     """LCS length by the bit-parallel row update; L is the count of 0 bits in V."""
     masks = _symbol_masks(symbols, lists)
     full = (1 << n) - 1
@@ -215,13 +235,42 @@ def _kernel_counters(r: int, length: int) -> OpCounters:
     return OpCounters(succ=r, insert=r, delete=r - length, update=r)
 
 
+def _distinct_rows(cols: list[int | None]) -> int:
+    """LCS length from a column map: the single-match slot rule over the rows that match.
+
+    Each row has one column j: it is appended when j > S[-1], and
+    otherwise replaces S[bisect_left(S, j)].  S[0] is a 0 sentinel.
+    """
+    s = [0]
+    for j in filter(None, cols):
+        if j > s[-1]:
+            s.append(j)
+        else:
+            s[bisect_left(s, j)] = j
+    return len(s) - 1
+
+
+def _distinct_stats(cols: list[int | None], m: int, n: int) -> MatchStats:
+    return MatchStats(r=m - cols.count(None), n=n, m=m)
+
+
 def lcs_length(
     x: Sequence,
     y: Sequence,
     backend: str = "auto",
     position_lists: PositionLists | None = None,
 ) -> LcsResult:
-    """LCS length of x and y: a kernel for ``auto``/``bisect``/``bitpar``, else the named set."""
+    """LCS length of x and y: a kernel for ``auto``/``bisect``/``bitpar``, else the named set.
+
+    Under ``auto`` and ``bisect``, a y of distinct tokens runs the bisect
+    sweep off ``column_map`` and ``position_lists`` is not read.
+    """
+    if backend == "auto" or backend == "bisect":
+        cols = column_map(x, y)
+        if cols is not None:
+            stats = _distinct_stats(cols, len(x), len(y))
+            stats.l = length = _distinct_rows(cols)
+            return LcsResult(length, None, stats, _kernel_counters(stats.r, length), "bisect")
     pl = position_lists if position_lists is not None else build_position_lists(y)
     stats = count_matches(x, pl)
     if backend == "auto":
@@ -259,7 +308,7 @@ def lcs_length(
 
 
 def _bisect_trace(
-    symbols: tuple[int, ...], lists: dict[int, list[int]], n: int, r: int
+    symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], n: int, r: int
 ) -> tuple[TraceTable, int, int]:
     """Every match's record on the bisect kernel's slot rule; returns (trace, last match, L).
 
@@ -293,8 +342,31 @@ def _bisect_trace(
     return trace, occ[s[-1]], len(s) - 1
 
 
+def _distinct_trace(cols: list[int | None], n: int) -> tuple[TraceTable, int, int]:
+    """``_bisect_trace``'s records from a column map; returns (trace, last match, L).
+
+    Match number k is the k-th row that matches, so the column list is
+    the map without its ``None`` entries.
+    """
+    column = [0, *filter(None, cols)]
+    pred_k = [0] * len(column)
+    occ = [0] * (n + 1)  # occ[j]: the match number holding column j in S
+    s = [0]
+    for m, j in enumerate(filter(None, cols), 1):
+        if j > s[-1]:
+            pred_k[m] = occ[s[-1]]
+            s.append(j)
+        else:
+            k = bisect_left(s, j)
+            s[k] = j
+            pred_k[m] = occ[s[k - 1]]
+        occ[j] = m
+    trace = TraceTable(predecessor=pred_k, column=column, count=len(column) - 1)
+    return trace, occ[s[-1]], len(s) - 1
+
+
 def _bitpar_trace(
-    symbols: tuple[int, ...], lists: dict[int, list[int]], n: int
+    symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], n: int
 ) -> tuple[TraceTable, int, int]:
     """The LCS chain from the stored bitpar rows; returns (trace, last match, L).
 
@@ -345,16 +417,27 @@ def lcs_reconstruct(
 ) -> LcsResult:
     """LCS length plus one actual subsequence, from the ``bisect`` or ``bitpar`` trace.
 
-    Raises ``ReconstructionCapError`` when R exceeds ``memory_cap``,
-    before any work.
+    Under ``auto`` and ``bisect``, a y of distinct tokens records the
+    bisect trace off ``column_map``.  Raises ``ValueError`` for a
+    negative ``memory_cap`` and ``ReconstructionCapError`` when R exceeds
+    it, before any work.
     """
-    pl = position_lists if position_lists is not None else build_position_lists(y)
-    stats = count_matches(x, pl)
+    if memory_cap < 0:
+        raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")
+    cols = column_map(x, y) if backend == "auto" or backend == "bisect" else None
+    if cols is not None:
+        backend = "bisect"
+        stats = _distinct_stats(cols, len(x), len(y))
+    else:
+        pl = position_lists if position_lists is not None else build_position_lists(y)
+        stats = count_matches(x, pl)
     if stats.r > memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap)
     if backend == "auto":
         backend = _choose_kernel(stats.r, stats.m, stats.n, _RECON_COSTS)
-    if backend == "bisect":
+    if cols is not None:
+        trace, last, length = _distinct_trace(cols, stats.n)
+    elif backend == "bisect":
         trace, last, length = _bisect_trace(x.symbols, pl.lists, pl.length, stats.r)
     elif backend == "bitpar":
         trace, last, length = _bitpar_trace(x.symbols, pl.lists, pl.length)
@@ -374,7 +457,7 @@ def lcs_reconstruct(
     )
 
 
-def extract_lcs(trace: TraceTable, k: int, y: Sequence) -> tuple[int, ...]:
+def extract_lcs(trace: TraceTable, k: int, y: Sequence) -> tuple[Hashable, ...]:
     """Read the subsequence off a match chain, predecessors first."""
     cols: list[int] = []
     while k > 0:
@@ -387,31 +470,35 @@ def extract_lcs(trace: TraceTable, k: int, y: Sequence) -> tuple[int, ...]:
 def dp_oracle(
     x: Sequence, y: Sequence, cap: int = DEFAULT_DP_CAP
 ) -> np.ndarray:
-    """Dense (m+1) x (n+1) Wagner-Fischer length table."""
+    """Dense (m+1) x (n+1) Wagner-Fischer length table.
+
+    Tokens are mapped to dense ints first, so any hashable tokens work.
+    """
     m, n = len(x.symbols), len(y.symbols)
     if (m + 1) * (n + 1) > cap:
         raise DpCapError((m + 1) * (n + 1), cap)
     # imported here so that only the oracle pays numpy's import time
     import numpy as np
 
-    ys = np.asarray(y.symbols, dtype=np.int64) if n else np.empty(0, dtype=np.int64)
+    ids = {t: k for k, t in enumerate(dict.fromkeys(x.symbols + y.symbols))}
+    ys = np.fromiter(map(ids.__getitem__, y.symbols), dtype=np.int64, count=n)
     table = np.zeros((m + 1, n + 1), dtype=np.int32)
     for i in range(1, m + 1):
         prev = table[i - 1]
-        cand = np.maximum(prev[1:], prev[:-1] + (ys == x.symbols[i - 1]))
+        cand = np.maximum(prev[1:], prev[:-1] + (ys == ids[x.symbols[i - 1]]))
         np.maximum.accumulate(cand, out=cand)
         table[i, 1:] = cand
     return table
 
 
-def is_subsequence(candidate: tuple[int, ...], seq: Sequence) -> bool:
+def is_subsequence(candidate: tuple[Hashable, ...], seq: Sequence) -> bool:
     # `in` advances the shared iterator past the first match, in C
     it = iter(seq.symbols)
     return all(c in it for c in candidate)
 
 
 def validate_common_subsequence(
-    candidate: tuple[int, ...], x: Sequence, y: Sequence, expected_length: int
+    candidate: tuple[Hashable, ...], x: Sequence, y: Sequence, expected_length: int
 ) -> bool:
     """Structural check: common subsequence of both inputs, right length."""
     return (

@@ -1,13 +1,16 @@
-"""Sequences, tokenization, and per-symbol position lists.
+"""Sequences, tokenization, per-symbol position lists and the column map.
 
 The comparison core never materializes the match set: the second
 sequence is preprocessed once into per-symbol lists of positions in
 decreasing order, and each row of the (virtual) match matrix is
-enumerated by looking up the row's symbol.
+enumerated by looking up the row's symbol.  When every token of the
+second sequence is distinct, each row has at most one match, and
+``column_map`` gives all of them at once from one dict built in C.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 __all__ = [
@@ -18,23 +21,37 @@ __all__ = [
     "tokenize",
     "build_position_lists",
     "count_matches",
+    "column_map",
 ]
 
 MODES = ("bytes", "lines")
 
+# column_map looks for a repeat among this many leading tokens of y before
+# it builds the full map, so that inputs with early repeats pay O(1)
+DISTINCT_PREFIX = 64
+
 
 @dataclass(frozen=True)
 class Sequence:
-    """Tokenized input: dense nonnegative symbol ids."""
+    """Tokenized input: a tuple of hashable tokens.
 
-    symbols: tuple[int, ...]
+    Tokens are compared only for equality and used as dict keys; they are
+    not dense ids.  bytes mode gives ints 0..255, lines mode the lines
+    themselves, and the library takes any hashable tokens.
+    """
+
+    symbols: tuple[Hashable, ...]
 
     def __len__(self) -> int:
         return len(self.symbols)
 
 
 class SymbolTable:
-    """Shared first-appearance numbering for line tokens."""
+    """First-appearance numbering of line tokens.
+
+    ``tokenize`` no longer uses it (lines are their own tokens); it is
+    kept for callers that still build one and pass it to ``tokenize``.
+    """
 
     def __init__(self):
         self._ids: dict[bytes, int] = {}
@@ -55,16 +72,15 @@ class SymbolTable:
 def tokenize(raw: bytes, mode: str, table: SymbolTable | None = None) -> Sequence:
     """Turn raw bytes into a Sequence.
 
-    bytes mode maps each byte to its value; lines mode assigns dense ids
-    to distinct lines in first-appearance order, shared across inputs
-    through `table`.
+    bytes mode maps each byte to its value; lines mode makes each line,
+    without its line ending (``bytes.splitlines``), its own token, so
+    equal lines in two inputs are equal tokens.  ``table`` is accepted
+    for older callers and unused.
     """
     if mode == "bytes":
         return Sequence(tuple(raw))
     if mode == "lines":
-        if table is None:
-            table = SymbolTable()
-        return Sequence(tuple(table.intern(line) for line in raw.splitlines()))
+        return Sequence(tuple(raw.splitlines()))
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
@@ -72,10 +88,10 @@ def tokenize(raw: bytes, mode: str, table: SymbolTable | None = None) -> Sequenc
 class PositionLists:
     """Per-symbol 1-based positions in Y, each list strictly decreasing."""
 
-    lists: dict[int, list[int]]
+    lists: dict[Hashable, list[int]]
     length: int
 
-    def positions(self, symbol: int) -> list[int]:
+    def positions(self, symbol: Hashable) -> list[int]:
         return self.lists.get(symbol, [])
 
 
@@ -89,7 +105,7 @@ class MatchStats:
 
 def build_position_lists(y: Sequence) -> PositionLists:
     """Single scan of Y; lists come out largest-position-first."""
-    lists: dict[int, list[int]] = {}
+    lists: dict[Hashable, list[int]] = {}
     for pos in range(len(y.symbols), 0, -1):
         lists.setdefault(y.symbols[pos - 1], []).append(pos)
     return PositionLists(lists=lists, length=len(y.symbols))
@@ -104,3 +120,20 @@ def count_matches(x: Sequence, pl: PositionLists) -> MatchStats:
         if positions is not None:
             r += len(positions)
     return MatchStats(r=r, n=pl.length, m=len(x.symbols))
+
+
+def column_map(x: Sequence, y: Sequence) -> list[int | None] | None:
+    """Per token of x, its 1-based column in y (``None`` if absent), when y's tokens are distinct.
+
+    Returns ``None`` when some token of y repeats.  A repeat among the
+    first ``DISTINCT_PREFIX`` tokens rules the map out before it is built.
+    On the map, R is ``len(x) - cols.count(None)``.
+    """
+    ys = y.symbols
+    n = len(ys)
+    if len(set(ys[:DISTINCT_PREFIX])) < min(n, DISTINCT_PREFIX):
+        return None
+    last = dict(zip(ys, range(1, n + 1)))
+    if len(last) != n:
+        return None
+    return list(map(last.get, x.symbols))

@@ -244,6 +244,45 @@ def test_subseq_lines_mode(tmp_path):
     assert proc.stdout.decode().splitlines() == ["L = 2", "alpha", "gamma"]
 
 
+# invalid UTF-8, a 3-byte sequence cut at a line end and its tail on the
+# next line, CRLF endings, empty lines and repeated lines
+AWKWARD_LINES = (b"caf\xc3\xa9\r\n\n\xff\xfe bad\nsnow\xe2\x98\n\x83 tail\r\n"
+                 b"\n\xe2\x82\xac euro\n\ncaf\xc3\xa9\n")
+
+
+def _old_render(lines: list[bytes]) -> str:
+    # what lines mode printed when it decoded each line on its own
+    return "\n".join(line.decode("utf-8", "replace") for line in lines)
+
+
+@pytest.mark.parametrize("a, b", [
+    (AWKWARD_LINES, AWKWARD_LINES),
+    # y distinct: the whole of y is the only LCS
+    (AWKWARD_LINES + b"extra\n", b"caf\xc3\xa9\n\n\xff\xfe bad\nsnow\xe2\x98\r\n\x83 tail\n"),
+])
+def test_subseq_lines_rendering(tmp_path, a, b):
+    fa, fb = write_pair(tmp_path, a, b)
+    lcs = b.splitlines()
+    text = run_cli("subseq", fa, fb, "--mode", "lines")
+    assert text.returncode == 0, text.stderr
+    assert text.stdout == f"L = {len(lcs)}\n{_old_render(lcs)}\n".encode()
+    payload = json.loads(run_cli("subseq", fa, fb, "--mode", "lines", "--output", "json").stdout)
+    assert payload["L"] == len(lcs)
+    assert payload["subsequence"] == _old_render(lcs)
+
+
+def test_verify_lines_mode(tmp_path):
+    # line tokens reach the dense oracle, the shadow run and every backend
+    fa, fb = write_pair(tmp_path, AWKWARD_LINES, b"\n".join(AWKWARD_LINES.splitlines()[::-1]))
+    proc = run_cli("verify", fa, fb, "--mode", "lines")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"ok: all backends agree")
+    fa, fb = write_pair(tmp_path, b"a\nb\nc\nd\n", b"b\nx\nd\na\n")
+    proc = run_cli("verify", fa, fb, "--mode", "lines")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"ok: all backends agree, L = 2\n"
+
+
 def test_stats(tmp_path):
     fa, fb = write_pair(tmp_path, b"aa", b"aa")
     payload = json.loads(run_cli("stats", fa, fb, "--output", "json").stdout)
@@ -383,6 +422,17 @@ def test_bench_json():
     )
     assert proc.returncode == 0, proc.stderr
     assert [r["backend"] for r in json.loads(proc.stdout)] == ["bisect", "array"] * 3
+
+
+def test_bench_kernels_by_name():
+    proc = run_cli(
+        "bench", "--n", "16", "--repeats", "1", "--output", "json", "--backend", "bisect,bitpar"
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [r["backend"] for r in rows] == ["bisect", "bitpar"] * 3
+    # bench checks that both kernels report the same L
+    assert all(a["L"] == b["L"] for a, b in zip(rows[::2], rows[1::2]))
 
 
 @pytest.mark.parametrize(

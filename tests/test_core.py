@@ -18,6 +18,7 @@ from lcseq.core import (
     _bisect_trace,
     _bitpar_trace,
     _choose_kernel,
+    _distinct_trace,
     _threshold_rows,
     dp_oracle,
     extract_lcs,
@@ -26,7 +27,8 @@ from lcseq.core import (
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from lcseq.matching import Sequence, build_position_lists, count_matches
+from lcseq import core
+from lcseq.matching import Sequence, build_position_lists, column_map, count_matches
 from lcseq.threshold import BACKEND_NAMES, ArrayBackend
 
 from helpers import brute_force_lcs_length, from_text
@@ -343,6 +345,14 @@ def test_reconstruct_rejects_unknown_backend():
         lcs_reconstruct(from_text("ab"), from_text("ab"), backend="veb")
 
 
+@pytest.mark.parametrize("a, b", [("ab", "cd"), ("ab", "ba"), ("aaaa", "aaaa")])
+def test_reconstruct_rejects_negative_cap(a, b):
+    # R = 0 (and any other R) meets a negative cap with ValueError, not a cap error
+    with pytest.raises(ValueError, match="non-negative"):
+        lcs_reconstruct(from_text(a), from_text(b), memory_cap=-1)
+    assert lcs_reconstruct(from_text(a), from_text("cd"), memory_cap=0).length == 0
+
+
 def test_reconstruction_memory_cap():
     x, y = from_text("aaaa"), from_text("aaaa")
     with pytest.raises(ReconstructionCapError) as exc:
@@ -372,3 +382,105 @@ def test_array_row_costs_exposed():
     assert total_updates == res.stats.r
     for rc in res.row_costs:
         assert rc.comparisons <= rc.alpha_start + rc.updates + 1
+
+
+# Pairs whose y has distinct tokens: x draws from a wider range, so it has
+# tokens y lacks, and it may repeat tokens.  Sizes reach past
+# DISTINCT_PREFIX so that the full map is built after the prefix passes.
+_distinct_y_pairs = st.integers(0, 160).flatmap(
+    lambda width: st.tuples(
+        st.lists(st.integers(0, width + 8), max_size=120),
+        st.lists(st.integers(0, width), unique=True, max_size=min(width + 1, 120)),
+    )
+)
+
+
+def _check_distinct_path(x: Sequence, y: Sequence) -> None:
+    cols = column_map(x, y)
+    assert cols is not None
+    expected = int(dp_oracle(x, y)[len(x)][len(y)])
+    pl = build_position_lists(y)
+    r = count_matches(x, pl).r
+    assert len(_threshold_rows(x.symbols, pl.lists)) - 1 == expected
+    for backend in ("auto", "bisect"):
+        res = lcs_length(x, y, backend=backend)
+        assert (res.length, res.stats.r, res.backend) == (expected, r, "bisect")
+        rec = lcs_reconstruct(x, y, backend=backend)
+        assert (rec.length, rec.stats.r, rec.backend) == (expected, r, "bisect")
+        assert validate_common_subsequence(rec.subsequence, x, y, expected)
+    # the same records as the position-list trace, so the same LCS is printed
+    trace, last, length = _distinct_trace(cols, len(y))
+    ref, ref_last, ref_length = _bisect_trace(x.symbols, pl.lists, len(y), r)
+    assert (trace, last, length) == (ref, ref_last, ref_length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distinct_y_pairs)
+def test_hypothesis_distinct_y_vs_oracle(pair):
+    _check_distinct_path(Sequence(tuple(pair[0])), Sequence(tuple(pair[1])))
+
+
+def test_distinct_y_examples():
+    # repeated x tokens hit the append test with j == S[-1]
+    for a, b in [("aa", "a"), ("abab", "ab"), ("", ""), ("abc", ""), ("", "abc"),
+                 ("cbacba", "abc"), ("zzyyxx", "xyz")]:
+        _check_distinct_path(from_text(a), from_text(b))
+    rng = random.Random(61)
+    for _ in range(100):
+        y = Sequence(tuple(rng.sample(range(400), rng.randint(0, 300))))
+        x = Sequence(tuple(rng.randrange(450) for _ in range(rng.randint(0, 300))))
+        _check_distinct_path(x, y)
+
+
+def test_distinct_y_builds_no_position_lists(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the distinct-y path built position lists")
+
+    monkeypatch.setattr(core, "build_position_lists", refuse)
+    monkeypatch.setattr(core, "count_matches", refuse)
+    x, y = from_text("abcbdab"), from_text("bdca")
+    assert lcs_length(x, y).length == 3
+    assert lcs_reconstruct(x, y, backend="bisect").length == 3
+    assert lcs_length(x, y, position_lists=build_position_lists(y)).length == 3
+
+
+def _check_one_repeat(x: Sequence, y_list: list, src: int, at: int) -> None:
+    """Insert a copy of y's token src at position at; the general path must still agree."""
+    y_list = list(y_list) or [0]
+    y_list.insert(at % (len(y_list) + 1), y_list[src % len(y_list)])
+    y = Sequence(tuple(y_list))
+    assert column_map(x, y) is None
+    expected = int(dp_oracle(x, y)[len(x)][len(y)])
+    for backend in ("auto", "bisect"):
+        assert lcs_length(x, y, backend=backend).length == expected
+        rec = lcs_reconstruct(x, y, backend=backend)
+        assert validate_common_subsequence(rec.subsequence, x, y, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_y_pairs, st.integers(0, 200), st.integers(0, 200))
+def test_hypothesis_one_repeat_takes_general_path(pair, src, at):
+    _check_one_repeat(Sequence(tuple(pair[0])), pair[1], src, at)
+
+
+def test_one_repeat_past_the_prefix_takes_general_path():
+    rng = random.Random(62)
+    for _ in range(100):
+        y_list = rng.sample(range(400), rng.randint(100, 300))
+        x = Sequence(tuple(rng.choice(y_list) for _ in range(rng.randint(50, 300))))
+        _check_one_repeat(x, y_list, rng.randrange(400), rng.randrange(100, 400))
+
+
+def test_distinct_y_cap_checked_before_the_trace(monkeypatch):
+    monkeypatch.setattr(core, "_distinct_trace", None)  # a call would raise TypeError
+    x, y = from_text("abcabc"), from_text("cab")
+    with pytest.raises(ReconstructionCapError) as exc:
+        lcs_reconstruct(x, y, memory_cap=5)
+    assert exc.value.r == 6
+
+
+def test_dp_oracle_takes_line_tokens():
+    x = Sequence((b"a", b"b\x00", b"c", b"b"))
+    y = Sequence((b"b", b"c", b"a", b"b\x00"))
+    # b"b\x00" and b"b" differ; a fixed-width bytes array would merge them
+    assert dp_oracle(x, y)[4][4] == 2

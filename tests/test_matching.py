@@ -3,9 +3,11 @@ import random
 import pytest
 
 from lcseq.matching import (
+    DISTINCT_PREFIX,
     Sequence,
     SymbolTable,
     build_position_lists,
+    column_map,
     count_matches,
     tokenize,
 )
@@ -20,17 +22,22 @@ def test_tokenize_bytes():
 
 
 def test_tokenize_lines_first_appearance():
-    seq = tokenize(b"x\ny\nx\n", "lines")
-    assert seq.symbols == (0, 1, 0)
+    # lines-mode tokens are the lines themselves, without their line endings
+    seq = tokenize(b"x\ny\r\n\nx\rz", "lines")
+    assert seq.symbols == (b"x", b"y", b"", b"x", b"z")
+    assert seq.symbols[0] == seq.symbols[3]
 
 
 def test_tokenize_lines_shared_table():
+    # equal lines in two inputs are equal tokens; a table is accepted and unused
     table = SymbolTable()
     a = tokenize(b"foo\nbar\n", "lines", table)
-    b = tokenize(b"bar\nbaz\n", "lines", table)
-    assert a.symbols == (0, 1)
-    assert b.symbols == (1, 2)
-    assert table.lines == [b"foo", b"bar", b"baz"]
+    b = tokenize(b"bar\nbaz\n", "lines")
+    assert a.symbols == (b"foo", b"bar")
+    assert b.symbols == (b"bar", b"baz")
+    assert a.symbols[1] == b.symbols[0]
+    assert set(a.symbols) & set(b.symbols) == {b"bar"}
+    assert len(table) == 0
 
 
 def test_tokenize_empty():
@@ -91,3 +98,34 @@ def test_count_matches_vs_brute_force():
                 (j for (ii, j) in matches if ii == i), reverse=True
             )
             assert pl.positions(x.symbols[i - 1]) == expected_cols
+
+
+def test_column_map_distinct_y():
+    x = tokenize(b"b\nq\na\nb\n", "lines")
+    y = tokenize(b"a\nb\nc\n", "lines")
+    cols = column_map(x, y)
+    assert cols == [2, None, 1, 2]
+    assert len(x) - cols.count(None) == count_matches(x, build_position_lists(y)).r
+    assert column_map(Sequence(()), y) == []
+    assert column_map(x, Sequence(())) == [None] * 4
+    assert column_map(Sequence(()), Sequence(())) == []
+
+
+@pytest.mark.parametrize("at", [1, DISTINCT_PREFIX - 1, DISTINCT_PREFIX, 3 * DISTINCT_PREFIX])
+def test_column_map_rejects_one_repeat(at):
+    # the repeat sits inside the checked prefix, at its edge, or far past it
+    base = list(range(3 * DISTINCT_PREFIX + 1))
+    assert column_map(Sequence((0,)), Sequence(tuple(base))) == [1]
+    y = Sequence(tuple(base[:at] + [base[at // 2]] + base[at:]))
+    assert column_map(Sequence((0,)), y) is None
+
+
+def test_column_map_prefix_check_is_constant_time():
+    # a repeat among the first DISTINCT_PREFIX tokens rules the map out
+    # before any token past them is hashed
+    class Unhashable:
+        __hash__ = None
+
+    head = (1, 1, *range(2, DISTINCT_PREFIX))
+    y = Sequence((*head, *[Unhashable() for _ in range(10 * DISTINCT_PREFIX)]))
+    assert column_map(Sequence((1,)), y) is None
