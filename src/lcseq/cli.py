@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("length", help="LCS length")
     add_inputs(p)
     add_output(p)
-    p.add_argument("--backend", choices=(*BACKEND_NAMES, "auto"), default="auto")
+    p.add_argument("--backend", choices=(*BACKEND_NAMES, *KERNEL_NAMES, "auto"), default="auto")
     p.set_defaults(func=cmd_length)
 
     p = sub.add_parser("subseq", help="print one LCS")

@@ -32,12 +32,15 @@ function with its own constants.  ``_bisect_trace`` runs the bisect
 kernel's slot rule and records, per match, its predecessor match and its
 column (O(R) space); ``_distinct_trace`` records the same on the
 single-match path.  ``_bitpar_trace`` keeps every row's V (rows with
-no match share the previous one) and walks back from (m, n) with one
-masked popcount per row, giving a chain-only trace of the L matched
-columns; where it is chosen its rows hold fewer than
-``BITPAR_WORDS_PER_MATCH * R`` 64-bit words, a bound known before the
-work starts.  Either trace is read back by ``extract_lcs`` in O(L).  A
-dense Wagner-Fischer table serves as the independent oracle.
+no match share the previous one) and walks back from (m, n), giving a
+chain-only trace of the L matched columns.  Each step of the walk is a
+diagonal (x_i = y_j, one token compare), a left jump to row i's highest
+step below j (one bit test and one bit length on V_i), or an up step
+(one bit test), so it takes at most m + n steps and no popcount.  Where
+it is chosen its rows hold fewer than ``BITPAR_WORDS_PER_MATCH * R``
+64-bit words, a bound known before the work starts.  Either trace is
+read back by ``extract_lcs`` in O(L).  A dense Wagner-Fischer table
+serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -366,15 +369,31 @@ def _distinct_trace(cols: list[int | None], n: int) -> tuple[TraceTable, int, in
 
 
 def _bitpar_trace(
-    symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], n: int
+    symbols: tuple[Hashable, ...],
+    ys: tuple[Hashable, ...],
+    lists: dict[Hashable, list[int]],
+    n: int,
 ) -> tuple[TraceTable, int, int]:
     """The LCS chain from the stored bitpar rows; returns (trace, last match, L).
 
-    With V_i the row after x_i, the DP value at (i, j) is j minus the 1
-    bits of V_i below bit j.  Walking back from (m, n) at value k: when
-    V_{i-1} gives k too, x_i is not needed; otherwise the highest 0 bit
-    of V_i below bit j is bit c-1 of a column c <= j where x_i = y_c and
-    (i-1, c-1) has value k-1.
+    With V_i the row after x_i, the DP value D[i][j] is j minus the 1 bits
+    of V_i below bit j; bit j-1 is 1 exactly where D[i][j-1] = D[i][j].
+    The walk starts at (m, n) with k = L and keeps D[i][j] = k by three
+    rules:
+
+    * diagonal: x_i = y_j gives D[i][j] = D[i-1][j-1] + 1, so column j is
+      the k-th LCS column and i, j and k all drop by one.  A token
+      compare, no row read.
+    * left: otherwise, bit j-1 of V_i set gives D[i][j-1] = k, and so do
+      the columns down to row i's highest step below j, the bit length of
+      ``~V_i`` below bit j-1.  Row i has k steps below j, so that column
+      is at least 1.
+    * up: otherwise D[i][j-1] = k - 1, and since x_i != y_j,
+      D[i][j] = max(D[i-1][j], D[i][j-1]) gives D[i-1][j] = k.  No row
+      read.
+
+    So the walk reads only V_i, one bit per step and one bit length per
+    left jump, and does no popcount.
     """
     masks = _symbol_masks(symbols, lists)
     full = (1 << n) - 1
@@ -390,20 +409,18 @@ def _bitpar_trace(
     length = n - v.bit_count()
     cols = [0] * (length + 1)
     k = length
-    j = n
-    low = full  # the bits below bit j
     i = len(symbols)
+    j = n
     while k:
-        cur = rows[i]
-        i -= 1
-        prev = rows[i]
-        if prev is cur or j - (prev & low).bit_count() == k:
-            continue
-        j = (low & ~cur).bit_length()
-        cols[k] = j
-        k -= 1
-        j -= 1
-        low = (1 << j) - 1
+        if symbols[i - 1] == ys[j - 1]:
+            cols[k] = j
+            k -= 1
+            i -= 1
+            j -= 1
+        elif rows[i] >> (j - 1) & 1:
+            j = (~rows[i] & ((1 << (j - 1)) - 1)).bit_length()
+        else:
+            i -= 1
     trace = TraceTable(predecessor=[0, *range(length)], column=cols, count=length)
     return trace, length, length
 
@@ -440,7 +457,7 @@ def lcs_reconstruct(
     elif backend == "bisect":
         trace, last, length = _bisect_trace(x.symbols, pl.lists, pl.length, stats.r)
     elif backend == "bitpar":
-        trace, last, length = _bitpar_trace(x.symbols, pl.lists, pl.length)
+        trace, last, length = _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
     else:
         raise ValueError(f"unknown backend {backend!r}; expected auto or one of {KERNEL_NAMES}")
     subseq = extract_lcs(trace, last, y)
@@ -459,12 +476,16 @@ def lcs_reconstruct(
 
 def extract_lcs(trace: TraceTable, k: int, y: Sequence) -> tuple[Hashable, ...]:
     """Read the subsequence off a match chain, predecessors first."""
-    cols: list[int] = []
+    column = trace.column
+    predecessor = trace.predecessor
+    ys = y.symbols
+    out = []
+    append = out.append
     while k > 0:
-        cols.append(trace.column[k])
-        k = trace.predecessor[k]
-    cols.reverse()
-    return tuple(y.symbols[j - 1] for j in cols)
+        append(ys[column[k] - 1])
+        k = predecessor[k]
+    out.reverse()
+    return tuple(out)
 
 
 def dp_oracle(

@@ -64,6 +64,26 @@ def test_length_backends(tmp_path, backend):
     assert json.loads(proc.stdout)["L"] == 4
 
 
+@pytest.mark.parametrize("pair", [ONE_PER_ROW, SIGMA_2])
+@pytest.mark.parametrize("kernel", ["bisect", "bitpar"])
+def test_length_kernels_by_name(tmp_path, pair, kernel):
+    # either kernel runs by name on either regime, with auto's L
+    fa, fb = write_pair(tmp_path, *pair)
+    auto = json.loads(run_cli("length", fa, fb, "--output", "json").stdout)
+    proc = run_cli("length", fa, fb, "--backend", kernel, "--output", "json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {**auto, "backend": kernel}
+    text = run_cli("length", fa, fb, "--backend", kernel).stdout.decode().splitlines()
+    assert text[-2:] == [f"L = {auto['L']}", f"backend = {kernel}"]
+
+
+def test_length_unknown_backend_is_usage_error(tmp_path):
+    fa, fb = write_pair(tmp_path, *ONE_PER_ROW)
+    proc = run_cli("length", fa, fb, "--backend", "bogus")
+    assert proc.returncode == 2
+    assert b"invalid choice" in proc.stderr
+
+
 def test_auto_picks_bisect(tmp_path):
     fa, fb = write_pair(tmp_path, *ONE_PER_ROW)
     payload = json.loads(run_cli("length", fa, fb, "--output", "json").stdout)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -97,7 +98,7 @@ def test_bitpar_row_memory_bound():
         assert _choose_kernel(r, m, n, _RECON_COSTS) == "bitpar"
         tracemalloc.start()
         try:
-            _bitpar_trace(x.symbols, pl.lists, n)
+            _bitpar_trace(x.symbols, y.symbols, pl.lists, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -301,7 +302,7 @@ def test_chain_geometry():
 def _check_bitpar_chain(x, y):
     pl = build_position_lists(y)
     expected = int(dp_oracle(x, y)[len(x)][len(y)])
-    trace, last, length = _bitpar_trace(x.symbols, pl.lists, pl.length)
+    trace, last, length = _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
     assert trace.count == last == length == expected
     assert trace.predecessor == [0, *range(length)]
     cols = trace.column[1:]
@@ -338,6 +339,112 @@ def test_hypothesis_bitpar_vs_oracle(pair):
     expected = int(dp_oracle(x, y)[len(x)][len(y)])
     assert lcs_length(x, y, backend="bitpar").length == expected
     _check_bitpar_chain(x, y)
+
+
+def _walk_pairs(rng, count):
+    """Random pairs of every shape the walk meets: x == y, near copies, empty sides."""
+    for idx in range(count):
+        sigma = (1, 2, 3, 4, 26)[idx % 5]
+        x = rand_seq(rng, 60, sigma)
+        shape = idx // 5 % 5
+        if shape == 0:
+            y = x
+        elif shape == 1:
+            y = Sequence(tuple(s if rng.random() < 0.9 else rng.randrange(sigma)
+                               for s in x.symbols))
+        elif shape == 2:
+            x, y = Sequence(()), x
+        elif shape == 3:
+            y = Sequence(())
+        else:
+            y = rand_seq(rng, 60, sigma)
+        yield x, y
+
+
+def test_bitpar_walk_vs_oracle():
+    """The three-rule walk gives an LCS on sigma 1-26, lengths 0-60, x == y and empty sides."""
+    for x, y in _walk_pairs(random.Random(1975), 1000):
+        _check_bitpar_chain(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((1, 2, 3, 4, 26)).flatmap(
+        lambda sigma: st.tuples(
+            st.lists(st.integers(0, sigma - 1), max_size=60),
+            st.lists(st.integers(0, sigma - 1), max_size=60),
+            st.booleans(),
+        )
+    )
+)
+def test_hypothesis_bitpar_walk(case):
+    a, b, same = case
+    x = Sequence(tuple(a))
+    _check_bitpar_chain(x, x if same else Sequence(tuple(b)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 65, 300])
+def test_bitpar_walk_identical_is_diagonal(n):
+    # every step from (n, n) is a diagonal, so the chain is columns 1..n
+    rng = random.Random(n)
+    for sigma in (1, 4, 256):
+        x = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
+        pl = build_position_lists(x)
+        trace, last, length = _bitpar_trace(x.symbols, x.symbols, pl.lists, n)
+        assert trace.column == list(range(n + 1)) and last == length == n
+
+
+@pytest.mark.parametrize(
+    "a, b, chain",
+    [
+        # left (7, 6) -> (7, 5), diagonals, left (5, 3) -> (5, 2), diagonals
+        ("abcbdab", "bdcaba", [1, 2, 4, 5]),
+        # left (2, 2) -> (2, 1), then a diagonal
+        ("ab", "ba", [1]),
+        # up (2, 1): bit 0 of V_2 clear and a != b; then a diagonal
+        ("ba", "b", [1]),
+        # up, diagonal, three times
+        ("axbycz", "abc", [1, 2, 3]),
+        # all three: left (3, 3) -> (3, 2), diagonal, up (2, 1), diagonal
+        ("abc", "acb", [1, 2]),
+        # diagonal, up (3, 2), diagonals
+        ("abxc", "abc", [1, 2, 3]),
+    ],
+)
+def test_bitpar_walk_examples(a, b, chain):
+    x, y = from_text(a), from_text(b)
+    pl = build_position_lists(y)
+    trace, _, _ = _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
+    assert trace.column[1:] == chain
+
+
+def test_bitpar_walk_steps_are_linear():
+    """The walk takes at most m + n steps: each one lowers i, j or both."""
+    code = _bitpar_trace.__code__
+
+    def run(x, y):
+        pl = build_position_lists(y)
+        budget = 8 * (2 * len(x) + len(y)) + 64  # line events, forward pass included
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+                if lines > budget:
+                    raise RuntimeError(f"more than {budget} line events")
+            return local
+
+        old = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+        try:
+            return _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
+        finally:
+            sys.settrace(old)
+
+    for x, y in _walk_pairs(random.Random(2004), 100):
+        _, _, length = run(x, y)
+        assert length == int(dp_oracle(x, y)[len(x)][len(y)])
 
 
 def test_reconstruct_rejects_unknown_backend():
