@@ -27,8 +27,10 @@ A named backend (``veb``, ``tree``, ``array``) runs the counted
 ``ThresholdSet`` from ``make_threshold_set`` instead; those are the
 paper's structures and the references the tests audit.
 
-Reconstruction runs one of two trace builders, picked by the same cost
-function with its own constants.  ``_bisect_trace`` runs the bisect
+``_plan`` does all the work before a kernel (the column map, or the
+position lists and R, and the choice), so ``lcs_length`` and
+``lcs_reconstruct`` take the same kernel on every input.  Reconstruction
+runs that kernel's trace builder.  ``_bisect_trace`` runs the bisect
 kernel's slot rule and records, per match, its predecessor match and its
 column (O(R) space); ``_distinct_trace`` records the same on the
 single-match path.  ``_bitpar_trace`` keeps every row's V (rows with
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .matching import (
     MatchStats,
@@ -94,35 +96,25 @@ BENCH_BACKENDS = (*BACKEND_NAMES, *KERNEL_NAMES, "auto", "dp_oracle")
 STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
 
 
-class _KernelCosts(NamedTuple):
-    """Calibrated costs, in units of one 64-bit word of bitpar row work.
-
-    ``row`` is bitpar's fixed cost per row of x; ``match`` is bisect's
-    cost per match.
-    """
-
-    row: int
-    match: int
-
-
-# 2-core x86_64, Python 3.11: bitpar length costs about 0.4 us + 0.012 us
-# per word per row and bisect about 0.25 us per match; reconstruction
-# stores and walks back the rows (0.8 us + 0.03 us per word per row)
-# against about 0.4 us per recorded match.
-_LENGTH_COSTS = _KernelCosts(row=33, match=21)
-_RECON_COSTS = _KernelCosts(row=27, match=13)
-
-# Where _choose_kernel picks bitpar, m * ceil(n/64) < costs.match * R.
-BITPAR_WORDS_PER_MATCH = _RECON_COSTS.match
+# The kernel rule, in units of one 64-bit word of bitpar row work: bitpar
+# costs _BITPAR_ROW_WORDS plus ceil(n/64) words per row of x, and bisect
+# BITPAR_WORDS_PER_MATCH words per match.  2-core x86_64, Python 3.11:
+# bitpar length costs about 0.4 us + 0.012 us per word per row and bisect
+# about 0.25 us per match.  Reconstruction takes the same rule: with
+# R/m from 2.4 to 10.7 and n up to 8192, the bitpar builder reconstructs
+# faster than the bisect trace where the rule picks it.  Where
+# _choose_kernel picks bitpar, m * ceil(n/64) < BITPAR_WORDS_PER_MATCH * R.
+_BITPAR_ROW_WORDS = 33
+BITPAR_WORDS_PER_MATCH = 21
 
 
-def _choose_kernel(r: int, m: int, n: int, costs: _KernelCosts) -> str:
-    """``bitpar`` when m rows of (row + ceil(n/64)) words cost less than R matches.
+def _choose_kernel(r: int, m: int, n: int) -> str:
+    """``bitpar`` when m rows of bitpar work cost less than R matches of bisect work.
 
     On R <= m (one match per row or fewer, as in line diffs) it always
-    picks ``bisect``, because ``costs.row`` exceeds ``costs.match``.
+    picks ``bisect``, because a row costs more than a match.
     """
-    if m * (costs.row + (n + 63) // 64) < costs.match * r:
+    if m * (_BITPAR_ROW_WORDS + (n + 63) // 64) < BITPAR_WORDS_PER_MATCH * r:
         return "bitpar"
     return "bisect"
 
@@ -253,8 +245,27 @@ def _distinct_rows(cols: list[int | None]) -> int:
     return len(s) - 1
 
 
-def _distinct_stats(cols: list[int | None], m: int, n: int) -> MatchStats:
-    return MatchStats(r=m - cols.count(None), n=n, m=m)
+def _plan(
+    x: Sequence, y: Sequence, backend: str, position_lists: PositionLists | None
+) -> tuple[str, MatchStats, list[int | None] | None, dict[Hashable, list[int]] | None]:
+    """Everything before a kernel runs; returns (backend, stats, cols, lists).
+
+    Under ``auto`` and ``bisect``, a y of distinct tokens gives its
+    ``column_map`` as cols, the backend ``bisect`` and no lists.
+    Otherwise cols is ``None``, lists are y's position lists (built
+    unless given), R comes from ``count_matches``, and ``auto`` resolves
+    to a kernel by ``_choose_kernel``.
+    """
+    if backend == "auto" or backend == "bisect":
+        cols = column_map(x, y)
+        if cols is not None:
+            m = len(x)
+            return "bisect", MatchStats(r=m - cols.count(None), n=len(y), m=m), cols, None
+    pl = position_lists if position_lists is not None else build_position_lists(y)
+    stats = count_matches(x, pl)
+    if backend == "auto":
+        backend = _choose_kernel(stats.r, stats.m, stats.n)
+    return backend, stats, None, pl.lists
 
 
 def lcs_length(
@@ -268,46 +279,28 @@ def lcs_length(
     Under ``auto`` and ``bisect``, a y of distinct tokens runs the bisect
     sweep off ``column_map`` and ``position_lists`` is not read.
     """
-    if backend == "auto" or backend == "bisect":
-        cols = column_map(x, y)
-        if cols is not None:
-            stats = _distinct_stats(cols, len(x), len(y))
-            stats.l = length = _distinct_rows(cols)
-            return LcsResult(length, None, stats, _kernel_counters(stats.r, length), "bisect")
-    pl = position_lists if position_lists is not None else build_position_lists(y)
-    stats = count_matches(x, pl)
-    if backend == "auto":
-        backend = _choose_kernel(stats.r, stats.m, stats.n, _LENGTH_COSTS)
-    if backend in KERNEL_NAMES:
-        if backend == "bisect":
-            length = len(_threshold_rows(x.symbols, pl.lists)) - 1
-        else:
-            length = _bitpar_rows(x.symbols, pl.lists, pl.length)
-        stats.l = length
-        return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend)
-    ts = make_threshold_set(max(pl.length, 1), backend)
-    if stats.r == 0:
-        stats.l = 0
-        return LcsResult(0, None, stats, OpCounters(), ts.name)
-    lists = pl.lists
-    for sym in x.symbols:
-        positions = lists.get(sym)
-        if not positions:
-            continue
-        ts.begin_row()
-        for j in positions:
-            ts.update(j)
-    length = ts.size()
-    _check_op_budget(ts.counters, stats.r)
-    stats.l = length
-    return LcsResult(
-        length=length,
-        subsequence=None,
-        stats=stats,
-        counters=ts.counters,
-        backend=ts.name,
-        row_costs=ts.row_costs() if isinstance(ts, ArrayBackend) else None,
-    )
+    backend, stats, cols, lists = _plan(x, y, backend, position_lists)
+    if cols is not None:
+        length = _distinct_rows(cols)
+    elif backend == "bisect":
+        length = len(_threshold_rows(x.symbols, lists)) - 1
+    elif backend == "bitpar":
+        length = _bitpar_rows(x.symbols, lists, stats.n)
+    else:
+        ts = make_threshold_set(max(stats.n, 1), backend)
+        if stats.r == 0:
+            return LcsResult(0, None, stats, OpCounters(), ts.name)
+        for sym in x.symbols:
+            positions = lists.get(sym)
+            if not positions:
+                continue
+            ts.begin_row()
+            for j in positions:
+                ts.update(j)
+        _check_op_budget(ts.counters, stats.r)
+        row_costs = ts.row_costs() if isinstance(ts, ArrayBackend) else None
+        return LcsResult(ts.size(), None, stats, ts.counters, ts.name, row_costs)
+    return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend)
 
 
 def _bisect_trace(
@@ -436,34 +429,26 @@ def lcs_reconstruct(
 
     Under ``auto`` and ``bisect``, a y of distinct tokens records the
     bisect trace off ``column_map``.  Raises ``ValueError`` for a
-    negative ``memory_cap`` and ``ReconstructionCapError`` when R exceeds
-    it, before any work.
+    negative ``memory_cap`` or a backend other than ``auto``, ``bisect``
+    and ``bitpar``, and ``ReconstructionCapError`` when R exceeds the cap;
+    all before any kernel work, and a bad name before any index is built.
     """
     if memory_cap < 0:
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")
-    cols = column_map(x, y) if backend == "auto" or backend == "bisect" else None
-    if cols is not None:
-        backend = "bisect"
-        stats = _distinct_stats(cols, len(x), len(y))
-    else:
-        pl = position_lists if position_lists is not None else build_position_lists(y)
-        stats = count_matches(x, pl)
+    if backend != "auto" and backend not in KERNEL_NAMES:
+        raise ValueError(f"unknown backend {backend!r}; expected auto or one of {KERNEL_NAMES}")
+    backend, stats, cols, lists = _plan(x, y, backend, position_lists)
     if stats.r > memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap)
-    if backend == "auto":
-        backend = _choose_kernel(stats.r, stats.m, stats.n, _RECON_COSTS)
     if cols is not None:
         trace, last, length = _distinct_trace(cols, stats.n)
     elif backend == "bisect":
-        trace, last, length = _bisect_trace(x.symbols, pl.lists, pl.length, stats.r)
-    elif backend == "bitpar":
-        trace, last, length = _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
+        trace, last, length = _bisect_trace(x.symbols, lists, stats.n, stats.r)
     else:
-        raise ValueError(f"unknown backend {backend!r}; expected auto or one of {KERNEL_NAMES}")
+        trace, last, length = _bitpar_trace(x.symbols, y.symbols, lists, stats.n)
     subseq = extract_lcs(trace, last, y)
     if len(subseq) != length:
         raise RuntimeError(f"extracted {len(subseq)} symbols for L = {length}")
-    stats.l = length
     return LcsResult(
         length=length,
         subsequence=subseq,

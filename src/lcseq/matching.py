@@ -95,12 +95,13 @@ class PositionLists:
         return self.lists.get(symbol, [])
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchStats:
+    """R matched pairs of x (length m) against y (length n); L is ``LcsResult.length``."""
+
     r: int
     n: int
     m: int
-    l: int | None = None
 
 
 def build_position_lists(y: Sequence) -> PositionLists:

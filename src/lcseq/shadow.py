@@ -39,7 +39,12 @@ class InvariantViolation(Exception):
 
 @dataclass
 class ShadowState:
-    """Snapshot after one row (all vectors 1-indexed, slot 0 unused)."""
+    """Snapshot after one row (all vectors 1-indexed, slot 0 unused).
+
+    ``t_values`` holds only this row's matches, (row, j) -> T(row, j); the
+    union over all snapshots is the tracker's cumulative ``t_values``.
+    A run's snapshots therefore hold O(R + m * n) values, not O(m * R).
+    """
 
     row: int
     h: tuple[int, ...]
@@ -148,14 +153,15 @@ class ShadowTracker:
                         "H decreased across rows", row, j, prev_h[j], self.h[j]
                     )
 
-    def snapshot(self, row: int) -> ShadowState:
+    def snapshot(self, row: int, t_values: dict[tuple[int, int], int]) -> ShadowState:
+        """The state after ``row``, whose matches gave ``t_values``."""
         return ShadowState(
             row=row,
             h=tuple(self.h[1:]),
             q=tuple(self.q[1:]),
             p=tuple(self.break_points()[1:]),
             contents=tuple(self.ts.contents()),
-            t_values=dict(self.t_values),
+            t_values=t_values,
         )
 
 
@@ -176,9 +182,8 @@ def shadow_run(
     prev_h: list[int] | None = None
     for i, sym in enumerate(x.symbols, start=1):
         tracker.ts.begin_row()
-        for j in pl.positions(sym):
-            tracker.apply_match(i, j)
+        row_t = {(i, j): tracker.apply_match(i, j) for j in pl.positions(sym)}
         tracker.check_row(i, prev_h)
         prev_h = list(tracker.h)
-        snapshots.append(tracker.snapshot(i))
+        snapshots.append(tracker.snapshot(i, row_t))
     return snapshots

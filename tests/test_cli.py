@@ -257,6 +257,27 @@ def test_subseq_json_reports_backend(tmp_path):
             assert all(c in it for c in sub)
 
 
+def test_length_and_subseq_report_one_backend(tmp_path):
+    # sigma = 256, n = 400, 5% of y redrawn: R/m near 2.5, where bitpar's
+    # cost per row is close to bisect's cost per match
+    rng = random.Random(2004)
+    a = bytes(rng.randrange(256) for _ in range(400))
+    b = bytearray(a)
+    for k in rng.sample(range(400), 20):
+        b[k] = rng.randrange(256)
+    fa, fb = write_pair(tmp_path, a, bytes(b))
+    length = json.loads(run_cli("length", fa, fb, "--output", "json").stdout)
+    subseq = json.loads(run_cli("subseq", fa, fb, "--output", "json").stdout)
+    assert 2.2 < length["R"] / length["m"] < 2.6
+    assert subseq["backend"] == length["backend"] == "bitpar"
+    assert subseq["L"] == length["L"]
+    sub = subseq["subsequence"].encode("latin-1")
+    assert len(sub) == length["L"]
+    for seq in (a, b):
+        it = iter(seq)
+        assert all(c in it for c in sub)
+
+
 def test_subseq_lines_mode(tmp_path):
     fa, fb = write_pair(tmp_path, b"alpha\nbeta\ngamma\n", b"alpha\ngamma\ndelta\n")
     proc = run_cli("subseq", fa, fb, "--mode", "lines")

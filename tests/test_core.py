@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcseq.core import (
-    _LENGTH_COSTS,
-    _RECON_COSTS,
     BITPAR_WORDS_PER_MATCH,
     KERNEL_NAMES,
     DpCapError,
@@ -66,14 +64,13 @@ def test_default_backend_is_bitpar(a, b):
 
 def test_chooser_regimes():
     """One match per row keeps bisect at any size; sigma = 2 picks bitpar."""
-    for costs in (_LENGTH_COSTS, _RECON_COSTS):
-        for m in (1, 10, 1000, 60_000, 10**6):
-            for n in (m, 2 * m):
-                assert _choose_kernel(m, m, n, costs) == "bisect"
-                assert _choose_kernel(0, m, n, costs) == "bisect"
-                if m >= 10:
-                    assert _choose_kernel(m * n // 2, m, n, costs) == "bitpar"
-        assert _choose_kernel(0, 0, 0, costs) == "bisect"
+    for m in (1, 10, 1000, 60_000, 10**6):
+        for n in (m, 2 * m):
+            assert _choose_kernel(m, m, n) == "bisect"
+            assert _choose_kernel(0, m, n) == "bisect"
+            if m >= 10:
+                assert _choose_kernel(m * n // 2, m, n) == "bitpar"
+    assert _choose_kernel(0, 0, 0) == "bisect"
 
 
 def test_bitpar_row_memory_bound():
@@ -83,7 +80,7 @@ def test_bitpar_row_memory_bound():
     for _ in range(20_000):
         m, n = rng.randint(0, 1 << 17), rng.randint(0, 1 << 17)
         r = int(m * n * rng.random() ** 4)
-        if _choose_kernel(r, m, n, _RECON_COSTS) == "bitpar":
+        if _choose_kernel(r, m, n) == "bitpar":
             picked += 1
             assert m * ((n + 63) // 64) < BITPAR_WORDS_PER_MATCH * r, (r, m, n)
     assert picked > 1000
@@ -95,7 +92,7 @@ def test_bitpar_row_memory_bound():
         y = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
         pl = build_position_lists(y)
         r = count_matches(x, pl).r
-        assert _choose_kernel(r, m, n, _RECON_COSTS) == "bitpar"
+        assert _choose_kernel(r, m, n) == "bitpar"
         tracemalloc.start()
         try:
             _bitpar_trace(x.symbols, y.symbols, pl.lists, n)
@@ -450,6 +447,50 @@ def test_bitpar_walk_steps_are_linear():
 def test_reconstruct_rejects_unknown_backend():
     with pytest.raises(ValueError):
         lcs_reconstruct(from_text("ab"), from_text("ab"), backend="veb")
+
+
+@pytest.mark.parametrize("backend", ["veb", "tree", "array", "bogus"])
+def test_reconstruct_checks_backend_name_before_the_cap(backend):
+    # R = 12 > cap 0: a name reconstruction does not run is still a ValueError
+    x = from_text("abcabc")
+    with pytest.raises(ValueError, match="unknown backend"):
+        lcs_reconstruct(x, x, memory_cap=0, backend=backend)
+
+
+def _near_copy(rng, n, sigma, changed):
+    """A random x and a y with a fraction ``changed`` of its tokens redrawn."""
+    xs = [rng.randrange(sigma) for _ in range(n)]
+    ys = list(xs)
+    for k in rng.sample(range(n), round(changed * n)):
+        ys[k] = rng.randrange(sigma)
+    return Sequence(tuple(xs)), Sequence(tuple(ys))
+
+
+def test_length_and_reconstruct_pick_one_kernel():
+    """``auto`` takes one kernel for the length and the LCS of every pair.
+
+    The band pairs (sigma = 256, n near 400, 5% changed) have R/m near
+    2.5, where bitpar's cost per row is close to bisect's cost per match.
+    """
+    rng = random.Random(1986)
+    pairs = []
+    for idx in range(96):
+        sigma = (2, 4, 26, 256)[idx % 4]
+        n = rng.randint(0, 600)
+        if idx % 2:
+            pairs.append(_near_copy(rng, n, sigma, 0.05))
+        else:
+            pairs.append((rand_seq(rng, 600, sigma), rand_seq(rng, 600, sigma)))
+    pairs += [_near_copy(rng, rng.randint(380, 420), 256, 0.05) for _ in range(16)]
+    band = 0
+    for x, y in pairs:
+        length = lcs_length(x, y)
+        recon = lcs_reconstruct(x, y)
+        assert length.backend == recon.backend, (len(x), len(y), length.stats)
+        assert recon.length == length.length
+        assert validate_common_subsequence(recon.subsequence, x, y, length.length)
+        band += 2.2 < length.stats.r / max(len(x), 1) < 2.6
+    assert band >= 8
 
 
 @pytest.mark.parametrize("a, b", [("ab", "cd"), ("ab", "ba"), ("aaaa", "aaaa")])

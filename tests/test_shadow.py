@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -61,9 +62,30 @@ def test_shadow_t_values_match_dp():
         if not snaps:
             continue
         table = dp_oracle(x, y)
-        for (i, j), t in snaps[-1].t_values.items():
+        t_values = {}
+        for snap in snaps:
+            assert all(i == snap.row for i, _ in snap.t_values)
+            t_values.update(snap.t_values)
+        matches = {(i, j) for i in range(1, 21) for j in range(1, 21)
+                   if x.symbols[i - 1] == y.symbols[j - 1]}
+        assert set(t_values) == matches
+        for (i, j), t in t_values.items():
             assert x.symbols[i - 1] == y.symbols[j - 1]
             assert t == int(table[i][j])
+
+
+def test_shadow_run_memory_is_not_per_row_cumulative():
+    # one symbol: every cell matches, R = 128 * 128; snapshots that each
+    # copied every T value so far would hold about 42 MiB here
+    x = Sequence((0,) * 128)
+    tracemalloc.start()
+    try:
+        snaps = shadow_run(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert sum(len(snap.t_values) for snap in snaps) == 128 * 128
 
 
 def test_check_row_detects_corruption():
