@@ -1,7 +1,7 @@
 """Command-line interface: length, subseq, stats, verify, bench.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or I/O error,
-3 resource cap exceeded.
+Exit codes: 0 success, 1 verification mismatch or failed self-check,
+2 usage or I/O error, 3 resource cap exceeded.
 
 ``length`` and ``subseq`` load only this module, ``core``, ``matching``
 and ``threshold``; ``verify`` and ``bench`` import the shadow checker
@@ -21,6 +21,7 @@ from .core import (
     BITPAR_WORDS_PER_MATCH,
     DEFAULT_TRACE_CAP,
     KERNEL_NAMES,
+    LENGTH_BACKENDS,
     STRUCTURES,
     DpCapError,
     ReconstructionCapError,
@@ -119,19 +120,14 @@ def cmd_verify(args) -> int:
     from .shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, shadow_run
 
     x, y = _load_pair(args)
-    pl = build_position_lists(y)
-    lengths: dict[str, int] = {}
-    # both kernels by name, whichever `auto` would pick
-    for backend in (*BACKEND_NAMES, *KERNEL_NAMES):
-        result = lcs_length(x, y, backend=backend, position_lists=pl)
-        lengths[result.backend] = result.length
+    # both kernels by name as well, whichever `auto` picks
+    lengths = {backend: lcs_length(x, y, backend=backend).length for backend in LENGTH_BACKENDS}
     table = dp_oracle(x, y)
     lengths["dp_oracle"] = int(table[len(x)][len(y)])
     failures = []
     for kernel in KERNEL_NAMES:
         try:
-            recon = lcs_reconstruct(x, y, position_lists=pl, memory_cap=args.memory_cap,
-                                    backend=kernel)
+            recon = lcs_reconstruct(x, y, memory_cap=args.memory_cap, backend=kernel)
         except RuntimeError as exc:
             failures.append(f"reconstruction[{kernel}]: {exc}")
         else:
@@ -142,7 +138,7 @@ def cmd_verify(args) -> int:
         failures.append(f"length disagreement: {lengths}")
     if len(x) <= DEFAULT_SHADOW_LIMIT and len(y) <= DEFAULT_SHADOW_LIMIT:
         try:
-            shadow_run(x, y, position_lists=pl)
+            shadow_run(x, y)
         except InvariantViolation as exc:
             failures.append(f"shadow invariant violation: {exc}")
     if failures:
@@ -220,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("length", help="LCS length")
     add_inputs(p)
     add_output(p)
-    p.add_argument("--backend", choices=(*BACKEND_NAMES, *KERNEL_NAMES, "auto"), default="auto")
+    p.add_argument("--backend", choices=LENGTH_BACKENDS, default="auto")
     p.set_defaults(func=cmd_length)
 
     p = sub.add_parser("subseq", help="print one LCS")
@@ -262,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a failed self-check: bench disagreement, short LCS, 4R ops
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -26,6 +26,8 @@ path out in O(1) when y repeats a token early.
 A named backend (``veb``, ``tree``, ``array``) runs the counted
 ``ThresholdSet`` from ``make_threshold_set`` instead; those are the
 paper's structures and the references the tests audit.
+``LENGTH_BACKENDS`` lists every name ``lcs_length`` takes.  Each entry point
+derives its index from (x, y) and checks its arguments before building it.
 
 ``_plan`` does all the work before a kernel (the column map, or the
 position lists and R, and the choice), so ``lcs_length`` and
@@ -80,6 +82,7 @@ __all__ = [
     "DEFAULT_TRACE_CAP",
     "DEFAULT_DP_CAP",
     "KERNEL_NAMES",
+    "LENGTH_BACKENDS",
     "BITPAR_WORDS_PER_MATCH",
     "BENCH_BACKENDS",
     "STRUCTURES",
@@ -88,11 +91,12 @@ __all__ = [
 DEFAULT_TRACE_CAP = 1 << 26  # max matches R that reconstruction takes on
 DEFAULT_DP_CAP = 1 << 26  # max cells in the dense oracle table
 KERNEL_NAMES = ("bisect", "bitpar")  # the names the two kernels report
+LENGTH_BACKENDS = ("auto", *KERNEL_NAMES, *BACKEND_NAMES)  # the names lcs_length takes
 
 # The `lcseq bench` choices, kept here rather than in `lcseq.bench` so that
 # the CLI parser lists them without importing the benchmark harness:
 # the length methods a bench case runs by name, and its input shapes.
-BENCH_BACKENDS = (*BACKEND_NAMES, *KERNEL_NAMES, "auto", "dp_oracle")
+BENCH_BACKENDS = (*LENGTH_BACKENDS, "dp_oracle")
 STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
 
 
@@ -246,7 +250,7 @@ def _distinct_rows(cols: list[int | None]) -> int:
 
 
 def _plan(
-    x: Sequence, y: Sequence, backend: str, position_lists: PositionLists | None
+    x: Sequence, y: Sequence, backend: str, position_lists: PositionLists | None = None
 ) -> tuple[str, MatchStats, list[int | None] | None, dict[Hashable, list[int]] | None]:
     """Everything before a kernel runs; returns (backend, stats, cols, lists).
 
@@ -276,9 +280,12 @@ def lcs_length(
 ) -> LcsResult:
     """LCS length of x and y: a kernel for ``auto``/``bisect``/``bitpar``, else the named set.
 
-    Under ``auto`` and ``bisect``, a y of distinct tokens runs the bisect
-    sweep off ``column_map`` and ``position_lists`` is not read.
+    A name outside ``LENGTH_BACKENDS`` raises ``ValueError`` before any index
+    is built.  Given ``position_lists`` (y's) are not built again; under ``auto``
+    and ``bisect`` a y of distinct tokens runs off ``column_map`` instead.
     """
+    if backend not in LENGTH_BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {LENGTH_BACKENDS}")
     backend, stats, cols, lists = _plan(x, y, backend, position_lists)
     if cols is not None:
         length = _distinct_rows(cols)
@@ -288,8 +295,6 @@ def lcs_length(
         length = _bitpar_rows(x.symbols, lists, stats.n)
     else:
         ts = make_threshold_set(max(stats.n, 1), backend)
-        if stats.r == 0:
-            return LcsResult(0, None, stats, OpCounters(), ts.name)
         for sym in x.symbols:
             positions = lists.get(sym)
             if not positions:
@@ -421,23 +426,21 @@ def _bitpar_trace(
 def lcs_reconstruct(
     x: Sequence,
     y: Sequence,
-    position_lists: PositionLists | None = None,
     memory_cap: int = DEFAULT_TRACE_CAP,
     backend: str = "auto",
 ) -> LcsResult:
     """LCS length plus one actual subsequence, from the ``bisect`` or ``bitpar`` trace.
 
-    Under ``auto`` and ``bisect``, a y of distinct tokens records the
-    bisect trace off ``column_map``.  Raises ``ValueError`` for a
-    negative ``memory_cap`` or a backend other than ``auto``, ``bisect``
-    and ``bitpar``, and ``ReconstructionCapError`` when R exceeds the cap;
-    all before any kernel work, and a bad name before any index is built.
+    The index, R and the kernel come from x and y by ``lcs_length``'s planner.
+    Raises ``ValueError`` for a negative ``memory_cap`` or a backend other than
+    ``auto``, ``bisect`` and ``bitpar``, before any index is built, and
+    ``ReconstructionCapError`` when R exceeds the cap, before any kernel work.
     """
     if memory_cap < 0:
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")
     if backend != "auto" and backend not in KERNEL_NAMES:
         raise ValueError(f"unknown backend {backend!r}; expected auto or one of {KERNEL_NAMES}")
-    backend, stats, cols, lists = _plan(x, y, backend, position_lists)
+    backend, stats, cols, lists = _plan(x, y, backend)
     if stats.r > memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap)
     if cols is not None:
@@ -473,16 +476,14 @@ def extract_lcs(trace: TraceTable, k: int, y: Sequence) -> tuple[Hashable, ...]:
     return tuple(out)
 
 
-def dp_oracle(
-    x: Sequence, y: Sequence, cap: int = DEFAULT_DP_CAP
-) -> np.ndarray:
+def dp_oracle(x: Sequence, y: Sequence) -> np.ndarray:
     """Dense (m+1) x (n+1) Wagner-Fischer length table.
 
     Tokens are mapped to dense ints first, so any hashable tokens work.
     """
     m, n = len(x.symbols), len(y.symbols)
-    if (m + 1) * (n + 1) > cap:
-        raise DpCapError((m + 1) * (n + 1), cap)
+    if (m + 1) * (n + 1) > DEFAULT_DP_CAP:
+        raise DpCapError((m + 1) * (n + 1), DEFAULT_DP_CAP)
     # imported here so that only the oracle pays numpy's import time
     import numpy as np
 

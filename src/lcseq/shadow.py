@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matching import PositionLists, Sequence, build_position_lists
+from .matching import Sequence, build_position_lists
 from .threshold import ThresholdSet, make_threshold_set
 
 __all__ = [
@@ -165,18 +165,14 @@ class ShadowTracker:
         )
 
 
-def shadow_run(
-    x: Sequence,
-    y: Sequence,
-    position_lists: PositionLists | None = None,
-) -> list[ShadowState]:
+def shadow_run(x: Sequence, y: Sequence) -> list[ShadowState]:
     """Run the threshold driver with dense cross-checks after every row."""
     limit = DEFAULT_SHADOW_LIMIT
     if len(x) > limit or len(y) > limit:
         raise ValueError(
             f"shadow mode is capped at {limit}x{limit}; got {len(x)}x{len(y)}"
         )
-    pl = position_lists if position_lists is not None else build_position_lists(y)
+    pl = build_position_lists(y)
     tracker = ShadowTracker(len(y))
     snapshots: list[ShadowState] = []
     prev_h: list[int] | None = None

@@ -171,3 +171,12 @@ def run_cli_with_overcounting_bitpar(*args: str) -> subprocess.CompletedProcess:
         "lcseq.core._bitpar_rows = overcounting_bitpar",
         *args,
     )
+
+
+def run_cli_with_short_extract(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose LCS read-back returns no symbols."""
+    return _run_patched_cli(
+        "import lcseq.core\n"
+        "lcseq.core.extract_lcs = lambda trace, k, y: ()",
+        *args,
+    )

@@ -108,7 +108,7 @@ def random_corpus():
             results[backend] = res
         # both reconstruction paths, whichever `auto` would pick
         for kernel in KERNEL_NAMES:
-            recon = lcs_reconstruct(x, y, position_lists=pl, backend=kernel)
+            recon = lcs_reconstruct(x, y, backend=kernel)
             lengths[f"reconstruct[{kernel}]"] = recon.length
             assert validate_common_subsequence(recon.subsequence, x, y, expected), (idx, kernel)
         assert all(v == expected for v in lengths.values()), (idx, lengths, expected)

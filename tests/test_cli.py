@@ -9,11 +9,13 @@ import sys
 import pytest
 
 from lcseq.cli import build_parser
+from lcseq.core import BENCH_BACKENDS, LENGTH_BACKENDS
 
 from helpers import (
     run_cli_with_literal_guard,
     run_cli_with_overcounting_bitpar,
     run_cli_with_overcounting_kernel,
+    run_cli_with_short_extract,
 )
 
 CLI = [sys.executable, "-m", "lcseq.cli"]
@@ -209,6 +211,13 @@ def test_subcommand_options():
         "verify": {"--mode", "--memory-cap"},
         "bench": {"--output", "--n", "--sigma", "--seed", "--structure", "--repeats", "--backend"},
     }
+
+
+def test_backend_choices_read_one_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    backend = next(a for a in sub.choices["length"]._actions if a.dest == "backend")
+    assert tuple(backend.choices) == LENGTH_BACKENDS
+    assert BENCH_BACKENDS == (*LENGTH_BACKENDS, "dp_oracle")
 
 
 def test_text_and_json_agree(tmp_path):
@@ -501,3 +510,19 @@ def test_bench_backend_selection():
     # three default sizes, two backends each
     assert len(rows) == 6
     assert {r["backend"] for r in rows} == {"veb", "array"}
+
+
+def test_bench_disagreement_is_an_error_line():
+    proc = run_cli_with_overcounting_kernel(
+        "bench", "--n", "8", "--repeats", "1", "--backend", "bisect,array")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: ") and b"disagree" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def test_subseq_short_lcs_is_an_error_line(tmp_path):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = run_cli_with_short_extract("subseq", fa, fb)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(b"error: extracted 0 symbols")
+    assert b"Traceback" not in proc.stderr

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lcseq.core import (
     BITPAR_WORDS_PER_MATCH,
     KERNEL_NAMES,
+    LENGTH_BACKENDS,
     DpCapError,
     ReconstructionCapError,
     TraceTable,
@@ -28,7 +29,7 @@ from lcseq.core import (
 )
 from lcseq import core
 from lcseq.matching import Sequence, build_position_lists, column_map, count_matches
-from lcseq.threshold import BACKEND_NAMES, ArrayBackend
+from lcseq.threshold import BACKEND_NAMES, ArrayBackend, OpCounters
 
 from helpers import brute_force_lcs_length, from_text
 
@@ -124,7 +125,7 @@ def test_kernel_rows_equal_array_backend():
             assert _threshold_rows(x.symbols[:i], pl.lists)[1:] == ts.contents(), (idx, i)
         measured = lcs_length(x, y, backend="array", position_lists=pl).counters
         assert lcs_length(x, y, position_lists=pl).counters == measured, idx
-        assert lcs_reconstruct(x, y, position_lists=pl).counters == measured, idx
+        assert lcs_reconstruct(x, y).counters == measured, idx
 
 
 def test_vector_scan_examples():
@@ -226,7 +227,7 @@ def test_random_equivalence_and_validity():
         for backend in (*BACKEND_NAMES, *KERNEL_NAMES):
             assert lcs_length(x, y, backend=backend, position_lists=pl).length == expected
         for backend in ("auto", *KERNEL_NAMES):
-            res = lcs_reconstruct(x, y, position_lists=pl, backend=backend)
+            res = lcs_reconstruct(x, y, backend=backend)
             assert res.length == expected
             assert validate_common_subsequence(res.subsequence, x, y, expected)
 
@@ -457,6 +458,31 @@ def test_reconstruct_checks_backend_name_before_the_cap(backend):
         lcs_reconstruct(x, x, memory_cap=0, backend=backend)
 
 
+@pytest.mark.parametrize("backend", ["bogus", "AUTO", "", "dp_oracle"])
+def test_length_checks_backend_name_before_any_index(monkeypatch, backend):
+    def refuse(*args):
+        raise AssertionError("an index was built for an unknown backend")
+
+    for name in ("column_map", "build_position_lists", "count_matches"):
+        monkeypatch.setattr(core, name, refuse)
+    with pytest.raises(ValueError, match="unknown backend") as exc:
+        lcs_length(from_text("abcbdab"), from_text("bdcaba"), backend=backend)
+    assert set(LENGTH_BACKENDS) == {"auto", "bisect", "bitpar", "veb", "tree", "array"}
+    for name in LENGTH_BACKENDS:
+        assert repr(name) in str(exc.value)
+
+
+@pytest.mark.parametrize("b", ["xyz", ""])
+def test_named_sets_without_matches(b):
+    # R = 0 runs the same row loop as any other input: no update, L = 0
+    x, y = from_text("abc"), from_text(b)
+    res = lcs_length(x, y, backend="array")
+    assert (res.length, res.row_costs, res.counters) == (0, [], OpCounters())
+    for backend in ("veb", "tree"):
+        res = lcs_length(x, y, backend=backend)
+        assert (res.length, res.counters) == (0, OpCounters())
+
+
 def _near_copy(rng, n, sigma, changed):
     """A random x and a y with a fraction ``changed`` of its tokens redrawn."""
     xs = [rng.randrange(sigma) for _ in range(n)]
@@ -509,9 +535,10 @@ def test_reconstruction_memory_cap():
 
 
 def test_dp_cap():
-    x = Sequence(tuple(range(100)))
+    # 8193^2 cells are just over the 2^26 cap; the check runs before numpy allocates
+    x = Sequence(tuple(range(8192)))
     with pytest.raises(DpCapError):
-        dp_oracle(x, x, cap=1000)
+        dp_oracle(x, x)
 
 
 def test_empty_inputs_short_circuit():
