@@ -4,15 +4,16 @@ Exit codes: 0 success, 1 verification mismatch or failed self-check,
 2 usage or I/O error, 3 resource cap exceeded.
 
 ``length`` and ``subseq`` load only this module, ``core``, ``matching``
-and ``threshold``; ``verify`` and ``bench`` import the shadow checker
-and the benchmark harness when they run.  ``main`` builds the parser on
-its first call and reuses it for the rest of the process.
+and ``threshold``, and neither ``dataclasses`` nor ``json``: ``json`` is
+imported only to write ``--output json``, and ``verify`` and ``bench``
+import the shadow checker and the benchmark harness when they run.
+``main`` builds the parser on its first call and reuses it for the rest
+of the process.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
@@ -56,6 +57,8 @@ def _load_pair(args) -> tuple[Sequence, Sequence]:
 
 def _emit(payload: dict, output: str, text_lines: list[str]) -> None:
     if output == "json":
+        import json
+
         print(json.dumps(payload))
     else:
         for line in text_lines:

@@ -50,13 +50,13 @@ serves as the independent oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .matching import (
     MatchStats,
     PositionLists,
     Sequence,
+    _Record,
     build_position_lists,
     column_map,
     count_matches,
@@ -139,8 +139,7 @@ class DpCapError(MemoryError):
         self.cap = cap
 
 
-@dataclass
-class TraceTable:
+class TraceTable(_Record):
     """Per-match reconstruction records (1-indexed by match number).
 
     predecessor[k] is the match number of the chain predecessor (0 =
@@ -150,20 +149,36 @@ class TraceTable:
     LCS column.
     """
 
-    predecessor: list[int]
-    column: list[int]
-    count: int = 0
+    __slots__ = ("predecessor", "column", "count")
+
+    def __init__(self, predecessor: list[int], column: list[int], count: int = 0):
+        self.predecessor = predecessor
+        self.column = column
+        self.count = count
 
 
-@dataclass
-class LcsResult:
-    length: int
-    subsequence: tuple[Hashable, ...] | None
-    stats: MatchStats
-    counters: OpCounters
-    backend: str
-    row_costs: list[RowCost] | None = None
-    trace: TraceTable | None = None
+class LcsResult(_Record):
+    """An entry point's result; only ``lcs_reconstruct`` sets ``subsequence`` and ``trace``."""
+
+    __slots__ = ("length", "subsequence", "stats", "counters", "backend", "row_costs", "trace")
+
+    def __init__(
+        self,
+        length: int,
+        subsequence: tuple[Hashable, ...] | None,
+        stats: MatchStats,
+        counters: OpCounters,
+        backend: str,
+        row_costs: list[RowCost] | None = None,
+        trace: TraceTable | None = None,
+    ):
+        self.length = length
+        self.subsequence = subsequence
+        self.stats = stats
+        self.counters = counters
+        self.backend = backend
+        self.row_costs = row_costs
+        self.trace = trace
 
 
 def _check_op_budget(counters: OpCounters, r: int) -> None:
@@ -283,9 +298,16 @@ def lcs_length(
     A name outside ``LENGTH_BACKENDS`` raises ``ValueError`` before any index
     is built.  Given ``position_lists`` (y's) are not built again; under ``auto``
     and ``bisect`` a y of distinct tokens runs off ``column_map`` instead.
+    Lists whose ``length`` is not len(y) raise ``ValueError`` before any work;
+    that lists of that length come from y itself is the caller's to ensure.
     """
     if backend not in LENGTH_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {LENGTH_BACKENDS}")
+    if position_lists is not None and position_lists.length != len(y):
+        raise ValueError(
+            f"position_lists are for a sequence of length {position_lists.length}, "
+            f"y has length {len(y)}"
+        )
     backend, stats, cols, lists = _plan(x, y, backend, position_lists)
     if cols is not None:
         length = _distinct_rows(cols)

@@ -6,12 +6,14 @@ decreasing order, and each row of the (virtual) match matrix is
 enumerated by looking up the row's symbol.  When every token of the
 second sequence is distinct, each row has at most one match, and
 ``column_map`` gives all of them at once from one dict built in C.
+
+The records here, in ``threshold`` and in ``core`` are ``__slots__``
+classes on ``_Record``, so the default path imports no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
 
 __all__ = [
     "Sequence",
@@ -31,8 +33,48 @@ MODES = ("bytes", "lines")
 DISTINCT_PREFIX = 64
 
 
-@dataclass(frozen=True)
-class Sequence:
+class _Record:
+    """Field-wise ``==``, ``repr`` and pickling for a record whose ``__slots__`` are its fields.
+
+    Each record writes its own ``__init__``, taking the fields in slot
+    order.  Unhashable unless a subclass defines ``__hash__``.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _FrozenRecord(_Record):
+    """A hashable ``_Record`` whose ``__init__`` sets the fields by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Sequence(_FrozenRecord):
     """Tokenized input: a tuple of hashable tokens.
 
     Tokens are compared only for equality and used as dict keys; they are
@@ -40,7 +82,10 @@ class Sequence:
     themselves, and the library takes any hashable tokens.
     """
 
-    symbols: tuple[Hashable, ...]
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: tuple[Hashable, ...]):
+        object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -84,24 +129,28 @@ def tokenize(raw: bytes, mode: str, table: SymbolTable | None = None) -> Sequenc
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-@dataclass
-class PositionLists:
-    """Per-symbol 1-based positions in Y, each list strictly decreasing."""
+class PositionLists(_Record):
+    """Per-symbol 1-based positions in Y, each list strictly decreasing; ``length`` is len(Y)."""
 
-    lists: dict[Hashable, list[int]]
-    length: int
+    __slots__ = ("lists", "length")
+
+    def __init__(self, lists: dict[Hashable, list[int]], length: int):
+        self.lists = lists
+        self.length = length
 
     def positions(self, symbol: Hashable) -> list[int]:
         return self.lists.get(symbol, [])
 
 
-@dataclass(frozen=True)
-class MatchStats:
+class MatchStats(_FrozenRecord):
     """R matched pairs of x (length m) against y (length n); L is ``LcsResult.length``."""
 
-    r: int
-    n: int
-    m: int
+    __slots__ = ("r", "n", "m")
+
+    def __init__(self, r: int, n: int, m: int):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
 def build_position_lists(y: Sequence) -> PositionLists:

@@ -25,8 +25,9 @@ positive-integer key space.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
+
+from .matching import _Record
 
 if TYPE_CHECKING:
     from .bst import AvlTree
@@ -46,13 +47,18 @@ __all__ = [
 BACKEND_NAMES = ("veb", "tree", "array")
 
 
-@dataclass
-class OpCounters:
-    succ: int = 0
-    pred: int = 0
-    insert: int = 0
-    delete: int = 0
-    update: int = 0
+class OpCounters(_Record):
+    """Counts of each set operation, and of ``update`` calls."""
+
+    __slots__ = ("succ", "pred", "insert", "delete", "update")
+
+    def __init__(self, succ: int = 0, pred: int = 0, insert: int = 0, delete: int = 0,
+                 update: int = 0):
+        self.succ = succ
+        self.pred = pred
+        self.insert = insert
+        self.delete = delete
+        self.update = update
 
     def structure_total(self) -> int:
         """Succ + Pred + Insert + Delete, the per-match accounting total."""

@@ -117,21 +117,41 @@ import sys
 import lcseq.cli
 for kind in ("length", "subseq"):
     assert lcseq.cli.main([kind, *sys.argv[1:]]) == 0
-print([m for m in ("lcseq.bench", "lcseq.shadow", "lcseq.veb", "lcseq.bst", "numpy")
+print([m for m in ("lcseq.bench", "lcseq.shadow", "lcseq.veb", "lcseq.bst", "numpy",
+                   "dataclasses", "inspect", "json")
        if m in sys.modules])
 """
 
 
 @pytest.mark.parametrize("pair", [ONE_PER_ROW, SIGMA_2], ids=["bisect", "bitpar"])
 def test_length_and_subseq_load_only_the_default_path(tmp_path, pair):
-    # the benchmark harness, the shadow checker, the counted trees and the
-    # oracle's numpy stay unloaded on the user path
+    # the benchmark harness, the shadow checker, the counted trees, the
+    # oracle's numpy, dataclasses (and the inspect it pulls in) and json stay
+    # unloaded on the user path in text mode
     fa, fb = write_pair(tmp_path, *pair)
     proc = subprocess.run(
         [sys.executable, "-c", _DEFAULT_PATH_PROBE, fa, fb], capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == b"[]"
+
+
+_JSON_PROBE = """\
+import sys
+import lcseq.cli
+assert "json" not in sys.modules
+sys.exit(lcseq.cli.main(["length", *sys.argv[1:], "--output", "json"]))
+"""
+
+
+def test_length_json_imports_json_when_it_writes(tmp_path):
+    # json is loaded by the first --output json write, in a fresh process
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = subprocess.run(
+        [sys.executable, "-c", _JSON_PROBE, fa, fb], capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"m": 7, "n": 6, "R": 12, "L": 4, "backend": "bitpar"}
 
 
 _REUSE_PROBE = """\

@@ -472,6 +472,23 @@ def test_length_checks_backend_name_before_any_index(monkeypatch, backend):
         assert repr(name) in str(exc.value)
 
 
+@pytest.mark.parametrize("backend", LENGTH_BACKENDS)
+def test_length_rejects_position_lists_of_another_length(monkeypatch, backend):
+    # lists built from "xyz" (n = 3) for a y of length 6 would give L = 0;
+    # the check is a ValueError before the planner runs
+    x, y = from_text("abcbdab"), from_text("bdcaba")
+    wrong = build_position_lists(from_text("xyz"))
+
+    def refuse(*args):
+        raise AssertionError("the planner ran on another sequence's position lists")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_plan", refuse)
+        with pytest.raises(ValueError, match="length 3, y has length 6"):
+            lcs_length(x, y, backend=backend, position_lists=wrong)
+    assert lcs_length(x, y, backend=backend, position_lists=build_position_lists(y)).length == 4
+
+
 @pytest.mark.parametrize("b", ["xyz", ""])
 def test_named_sets_without_matches(b):
     # R = 0 runs the same row loop as any other input: no update, L = 0
