@@ -11,8 +11,8 @@ on the bit-parallel path, keeps the rows and walks back the LCS chain.
 The names in ``__all__`` are exported lazily (PEP 562): ``import lcseq``
 loads no submodule, and the first lookup of a name imports the one
 module that defines it.  So ``from lcseq import lcs_length`` loads
-``core``, ``matching`` and ``threshold``, and not the benchmark harness,
-the shadow checker or the vEB and AVL trees.
+``core`` and ``matching`` only: not ``threshold``, ``bench``, ``shadow``,
+``veb`` or ``bst``.
 """
 
 from importlib import import_module
@@ -24,6 +24,7 @@ _EXPORTS = {
     "core": (
         "DpCapError",
         "LcsResult",
+        "OpCounters",
         "ReconstructionCapError",
         "TraceTable",
         "dp_oracle",
@@ -44,7 +45,6 @@ _EXPORTS = {
     "shadow": ("InvariantViolation", "ShadowState", "ShadowTracker", "shadow_run"),
     "threshold": (
         "ArrayBackend",
-        "OpCounters",
         "ThresholdSet",
         "TreeBackend",
         "VebBackend",

@@ -14,9 +14,9 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .core import BENCH_BACKENDS, STRUCTURES, dp_oracle, lcs_length
+from .core import (BACKEND_NAMES, BENCH_BACKENDS, STRUCTURES, OpCounters, check_dp_cap,
+                   dp_oracle, lcs_length)
 from .matching import Sequence, build_position_lists, count_matches
-from .threshold import BACKEND_NAMES, OpCounters
 
 __all__ = [
     "BenchCase",
@@ -121,7 +121,10 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
     """Run every enabled backend per case; min-of-repeats timing."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if any("dp_oracle" in case.backends for case in cases):
+    oracle_cases = [case for case in cases if "dp_oracle" in case.backends]
+    for case in oracle_cases:  # every dense cap before any case runs
+        check_dp_cap(case.m, case.n)
+    if oracle_cases:
         import numpy  # noqa: F401  (dp_oracle imports it lazily; keep that out of time_ns)
     records: list[BenchRecord] = []
     for case in cases:

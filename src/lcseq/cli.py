@@ -1,12 +1,14 @@
 """Command-line interface: length, subseq, stats, verify, bench.
 
 Exit codes: 0 success, 1 verification mismatch or failed self-check,
-2 usage or I/O error, 3 resource cap exceeded.
+2 usage or I/O error (output the stdout encoding cannot write included),
+3 resource cap exceeded.
 
-``length`` and ``subseq`` load only this module, ``core``, ``matching``
-and ``threshold``, and neither ``dataclasses`` nor ``json``: ``json`` is
-imported only to write ``--output json``, and ``verify`` and ``bench``
-import the shadow checker and the benchmark harness when they run.
+``length`` and ``subseq`` load only this module, ``core`` and
+``matching``, and none of ``threshold``, ``dataclasses``, ``json`` or
+``typing``: ``json`` is imported only to write ``--output json``, and
+``verify`` and ``bench`` import the shadow checker and the benchmark
+harness when they run.
 ``main`` builds the parser on its first call and reuses it for the rest
 of the process.
 """
@@ -18,6 +20,7 @@ import sys
 from functools import cache
 
 from .core import (
+    BACKEND_NAMES,
     BENCH_BACKENDS,
     BITPAR_WORDS_PER_MATCH,
     DEFAULT_TRACE_CAP,
@@ -32,7 +35,6 @@ from .core import (
     validate_common_subsequence,
 )
 from .matching import MODES, Sequence, build_position_lists, count_matches, tokenize
-from .threshold import BACKEND_NAMES
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -90,8 +92,7 @@ def cmd_subseq(args) -> int:
     x, y = _load_pair(args)
     result = lcs_reconstruct(x, y, memory_cap=args.memory_cap)
     if not validate_common_subsequence(result.subsequence, x, y, result.length):
-        print("internal error: reconstructed subsequence failed validation", file=sys.stderr)
-        return EXIT_MISMATCH
+        raise RuntimeError("reconstructed subsequence failed validation")
     rendered = _render_tokens(result.subsequence, args.mode)
     payload = {
         "m": len(x),
@@ -123,10 +124,10 @@ def cmd_verify(args) -> int:
     from .shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, shadow_run
 
     x, y = _load_pair(args)
+    oracle = int(dp_oracle(x, y)[len(x)][len(y)])  # first: above its cap nothing else runs
     # both kernels by name as well, whichever `auto` picks
     lengths = {backend: lcs_length(x, y, backend=backend).length for backend in LENGTH_BACKENDS}
-    table = dp_oracle(x, y)
-    lengths["dp_oracle"] = int(table[len(x)][len(y)])
+    lengths["dp_oracle"] = oracle
     failures = []
     for kernel in KERNEL_NAMES:
         try:
@@ -135,7 +136,7 @@ def cmd_verify(args) -> int:
             failures.append(f"reconstruction[{kernel}]: {exc}")
         else:
             lengths[f"reconstruct[{kernel}]"] = recon.length
-            if not validate_common_subsequence(recon.subsequence, x, y, lengths["dp_oracle"]):
+            if not validate_common_subsequence(recon.subsequence, x, y, oracle):
                 failures.append(f"reconstruction[{kernel}]: subsequence failed the structural check")
     if len(set(lengths.values())) > 1:
         failures.append(f"length disagreement: {lengths}")
@@ -148,7 +149,7 @@ def cmd_verify(args) -> int:
         for f in failures:
             print(f"FAIL: {f}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(f"ok: all backends agree, L = {lengths['dp_oracle']}")
+    print(f"ok: all backends agree, L = {oracle}")
     return EXIT_OK
 
 
@@ -214,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="most matches R that reconstruction takes on, checked before "
                             "any work (exit 3 above it); within it the bisect trace holds "
                             "2(R+1) list slots and the bitpar rows fewer than "
-                            f"{BITPAR_WORDS_PER_MATCH}R 64-bit words")
+                            f"{BITPAR_WORDS_PER_MATCH}R 64-bit words ({BITPAR_WORDS_PER_MATCH} "
+                            "times the cap where verify names bitpar, else exit 3)")
 
     p = sub.add_parser("length", help="LCS length")
     add_inputs(p)
@@ -258,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ReconstructionCapError, DpCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # unreadable input, unencodable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # a failed self-check: bench disagreement, short LCS, 4R ops

@@ -23,34 +23,28 @@ reduce to a longest increasing subsequence of the columns).  ``auto``
 picks ``bisect`` there anyway, since R <= m.  ``column_map`` rules the
 path out in O(1) when y repeats a token early.
 
-A named backend (``veb``, ``tree``, ``array``) runs the counted
-``ThresholdSet`` from ``make_threshold_set`` instead; those are the
-paper's structures and the references the tests audit.
+A named backend (``BACKEND_NAMES``: ``veb``, ``tree``, ``array``) runs
+the counted ``ThresholdSet`` that ``lcseq.threshold`` builds, imported
+only then; those are the paper's structures and the references the tests audit.
 ``LENGTH_BACKENDS`` lists every name ``lcs_length`` takes.  Each entry point
 derives its index from (x, y) and checks its arguments before building it.
 
 ``_plan`` does all the work before a kernel (the column map, or the
 position lists and R, and the choice), so ``lcs_length`` and
 ``lcs_reconstruct`` take the same kernel on every input.  Reconstruction
-runs that kernel's trace builder.  ``_bisect_trace`` runs the bisect
-kernel's slot rule and records, per match, its predecessor match and its
-column (O(R) space); ``_distinct_trace`` records the same on the
-single-match path.  ``_bitpar_trace`` keeps every row's V (rows with
-no match share the previous one) and walks back from (m, n), giving a
-chain-only trace of the L matched columns.  Each step of the walk is a
-diagonal (x_i = y_j, one token compare), a left jump to row i's highest
-step below j (one bit test and one bit length on V_i), or an up step
-(one bit test), so it takes at most m + n steps and no popcount.  Where
-it is chosen its rows hold fewer than ``BITPAR_WORDS_PER_MATCH * R``
-64-bit words, a bound known before the work starts.  Either trace is
-read back by ``extract_lcs`` in O(L).  A dense Wagner-Fischer table
-serves as the independent oracle.
+runs that kernel's trace builder: ``_bisect_trace`` and
+``_distinct_trace`` record each match's predecessor and column (O(R)
+space); ``_bitpar_trace`` keeps the rows and walks back the L-column
+chain in at most m + n steps.  Where ``auto`` picks ``bitpar`` its rows
+hold fewer than ``BITPAR_WORDS_PER_MATCH * R`` 64-bit words, and by name
+at most that many times the cap, both known before the work starts.
+``extract_lcs`` reads either trace back in O(L).  A dense Wagner-Fischer
+table serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import TYPE_CHECKING
 
 from .matching import (
     MatchStats,
@@ -61,14 +55,17 @@ from .matching import (
     column_map,
     count_matches,
 )
-from .threshold import BACKEND_NAMES, ArrayBackend, OpCounters, RowCost, make_threshold_set
 
+TYPE_CHECKING = False  # type checkers take this as true; no `typing` import on the default path
 if TYPE_CHECKING:
     from collections.abc import Hashable
 
     import numpy as np
 
+    from .threshold import RowCost
+
 __all__ = [
+    "OpCounters",
     "TraceTable",
     "LcsResult",
     "ReconstructionCapError",
@@ -82,6 +79,7 @@ __all__ = [
     "DEFAULT_TRACE_CAP",
     "DEFAULT_DP_CAP",
     "KERNEL_NAMES",
+    "BACKEND_NAMES",
     "LENGTH_BACKENDS",
     "BITPAR_WORDS_PER_MATCH",
     "BENCH_BACKENDS",
@@ -91,6 +89,7 @@ __all__ = [
 DEFAULT_TRACE_CAP = 1 << 26  # max matches R that reconstruction takes on
 DEFAULT_DP_CAP = 1 << 26  # max cells in the dense oracle table
 KERNEL_NAMES = ("bisect", "bitpar")  # the names the two kernels report
+BACKEND_NAMES = ("veb", "tree", "array")  # the counted sets, in lcseq.threshold
 LENGTH_BACKENDS = ("auto", *KERNEL_NAMES, *BACKEND_NAMES)  # the names lcs_length takes
 
 # The `lcseq bench` choices, kept here rather than in `lcseq.bench` so that
@@ -124,10 +123,12 @@ def _choose_kernel(r: int, m: int, n: int) -> str:
 
 
 class ReconstructionCapError(MemoryError):
-    """R exceeds the reconstruction cap; caller may fall back to length-only."""
+    """R, or a named ``bitpar``'s row words, exceeds the cap; caller may fall back to length-only."""
 
-    def __init__(self, r: int, cap: int):
-        super().__init__(f"reconstruction needs R = {r} matches, cap is {cap}")
+    def __init__(self, r: int, cap: int, words: int = 0):
+        need = f"{words} bitpar row words" if words else f"R = {r} matches"
+        per = f"{BITPAR_WORDS_PER_MATCH} * " if words else ""
+        super().__init__(f"reconstruction needs {need}, cap is {per}{cap}")
         self.r = r
         self.cap = cap
 
@@ -137,6 +138,30 @@ class DpCapError(MemoryError):
         super().__init__(f"dense table needs {cells} cells, cap is {cap}")
         self.cells = cells
         self.cap = cap
+
+
+def check_dp_cap(m: int, n: int) -> None:
+    """Raise ``DpCapError`` when the oracle's (m+1) x (n+1) table exceeds ``DEFAULT_DP_CAP``."""
+    if (m + 1) * (n + 1) > DEFAULT_DP_CAP:
+        raise DpCapError((m + 1) * (n + 1), DEFAULT_DP_CAP)
+
+
+class OpCounters(_Record):
+    """Counts of each set operation, and of ``update`` calls."""
+
+    __slots__ = ("succ", "pred", "insert", "delete", "update")
+
+    def __init__(self, succ: int = 0, pred: int = 0, insert: int = 0, delete: int = 0,
+                 update: int = 0):
+        self.succ = succ
+        self.pred = pred
+        self.insert = insert
+        self.delete = delete
+        self.update = update
+
+    def structure_total(self) -> int:
+        """Succ + Pred + Insert + Delete, the per-match accounting total."""
+        return self.succ + self.pred + self.insert + self.delete
 
 
 class TraceTable(_Record):
@@ -316,6 +341,8 @@ def lcs_length(
     elif backend == "bitpar":
         length = _bitpar_rows(x.symbols, lists, stats.n)
     else:
+        from .threshold import make_threshold_set  # imported here: only a named set loads it
+
         ts = make_threshold_set(max(stats.n, 1), backend)
         for sym in x.symbols:
             positions = lists.get(sym)
@@ -325,8 +352,7 @@ def lcs_length(
             for j in positions:
                 ts.update(j)
         _check_op_budget(ts.counters, stats.r)
-        row_costs = ts.row_costs() if isinstance(ts, ArrayBackend) else None
-        return LcsResult(ts.size(), None, stats, ts.counters, ts.name, row_costs)
+        return LcsResult(ts.size(), None, stats, ts.counters, ts.name, ts.row_costs())
     return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend)
 
 
@@ -456,7 +482,9 @@ def lcs_reconstruct(
     The index, R and the kernel come from x and y by ``lcs_length``'s planner.
     Raises ``ValueError`` for a negative ``memory_cap`` or a backend other than
     ``auto``, ``bisect`` and ``bitpar``, before any index is built, and
-    ``ReconstructionCapError`` when R exceeds the cap, before any kernel work.
+    ``ReconstructionCapError`` before any kernel work when R exceeds the cap, or when
+    ``bitpar`` by name would keep over ``BITPAR_WORDS_PER_MATCH * memory_cap`` row words
+    (min(m, R) * ceil(n/64): rows without a match share one; ``auto`` never does).
     """
     if memory_cap < 0:
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")
@@ -465,6 +493,9 @@ def lcs_reconstruct(
     backend, stats, cols, lists = _plan(x, y, backend)
     if stats.r > memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap)
+    words = min(stats.m, stats.r) * ((stats.n + 63) // 64)
+    if backend == "bitpar" and words > BITPAR_WORDS_PER_MATCH * memory_cap:
+        raise ReconstructionCapError(stats.r, memory_cap, words)
     if cols is not None:
         trace, last, length = _distinct_trace(cols, stats.n)
     elif backend == "bisect":
@@ -504,8 +535,7 @@ def dp_oracle(x: Sequence, y: Sequence) -> np.ndarray:
     Tokens are mapped to dense ints first, so any hashable tokens work.
     """
     m, n = len(x.symbols), len(y.symbols)
-    if (m + 1) * (n + 1) > DEFAULT_DP_CAP:
-        raise DpCapError((m + 1) * (n + 1), DEFAULT_DP_CAP)
+    check_dp_cap(m, n)
     # imported here so that only the oracle pays numpy's import time
     import numpy as np
 

@@ -7,8 +7,8 @@ enumerated by looking up the row's symbol.  When every token of the
 second sequence is distinct, each row has at most one match, and
 ``column_map`` gives all of them at once from one dict built in C.
 
-The records here, in ``threshold`` and in ``core`` are ``__slots__``
-classes on ``_Record``, so the default path imports no ``dataclasses``.
+The records here and in ``core`` are ``__slots__`` classes on
+``_Record``, so the default path imports no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -92,26 +92,10 @@ class Sequence(_FrozenRecord):
 
 
 class SymbolTable:
-    """First-appearance numbering of line tokens.
-
-    ``tokenize`` no longer uses it (lines are their own tokens); it is
-    kept for callers that still build one and pass it to ``tokenize``.
-    """
-
-    def __init__(self):
-        self._ids: dict[bytes, int] = {}
-        self.lines: list[bytes] = []
+    """An always-empty stub: ``tokenize`` takes one and ignores it (lines are their own tokens)."""
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    def intern(self, line: bytes) -> int:
-        sym = self._ids.get(line)
-        if sym is None:
-            sym = len(self._ids)
-            self._ids[line] = sym
-            self.lines.append(line)
-        return sym
+        return 0
 
 
 def tokenize(raw: bytes, mode: str, table: SymbolTable | None = None) -> Sequence:

@@ -14,9 +14,8 @@ the same contract with different cost profiles:
 
 They count every operation and are the named ``--backend`` choices and
 the references the tests audit.  ``make_threshold_set`` maps one of
-``BACKEND_NAMES`` to its backend.  The default path (``auto``) runs none
-of them: ``lcseq.core`` runs one of its two uncounted kernels instead, a
-sorted list with bisect (Hunt-Szymanski) or a bit-parallel row vector.
+``BACKEND_NAMES`` to its backend.  ``lcseq.core`` holds those names and
+``OpCounters``, and imports this module only when a named set runs.
 
 Queries use 0 as the "no such element" sentinel, matching the
 positive-integer key space.
@@ -27,42 +26,20 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
-from .matching import _Record
+from .core import BACKEND_NAMES, OpCounters
 
 if TYPE_CHECKING:
     from .bst import AvlTree
     from .veb import VebTree
 
 __all__ = [
-    "OpCounters",
     "RowCost",
     "ThresholdSet",
     "VebBackend",
     "TreeBackend",
     "ArrayBackend",
     "make_threshold_set",
-    "BACKEND_NAMES",
 ]
-
-BACKEND_NAMES = ("veb", "tree", "array")
-
-
-class OpCounters(_Record):
-    """Counts of each set operation, and of ``update`` calls."""
-
-    __slots__ = ("succ", "pred", "insert", "delete", "update")
-
-    def __init__(self, succ: int = 0, pred: int = 0, insert: int = 0, delete: int = 0,
-                 update: int = 0):
-        self.succ = succ
-        self.pred = pred
-        self.insert = insert
-        self.delete = delete
-        self.update = update
-
-    def structure_total(self) -> int:
-        """Succ + Pred + Insert + Delete, the per-match accounting total."""
-        return self.succ + self.pred + self.insert + self.delete
 
 
 class RowCost(NamedTuple):
@@ -144,6 +121,9 @@ class ThresholdSet:
 
     def begin_row(self) -> None:
         """Row boundary hint; only the array backend cares."""
+
+    def row_costs(self) -> list[RowCost] | None:
+        """Per-row cost records; only the array backend keeps them, the others give None."""
 
 
 class VebBackend(ThresholdSet):

@@ -180,3 +180,12 @@ def run_cli_with_short_extract(*args: str) -> subprocess.CompletedProcess:
         "lcseq.core.extract_lcs = lambda trace, k, y: ()",
         *args,
     )
+
+
+def run_cli_with_failed_validation(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose CLI rejects every reconstructed LCS."""
+    return _run_patched_cli(
+        "import lcseq.cli\n"
+        "lcseq.cli.validate_common_subsequence = lambda candidate, x, y, length: False",
+        *args,
+    )

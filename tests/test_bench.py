@@ -9,7 +9,7 @@ import warnings
 import pytest
 
 from lcseq import bench
-from lcseq.core import lcs_length
+from lcseq.core import DpCapError, lcs_length
 from lcseq.matching import build_position_lists, count_matches
 from lcseq.threshold import TreeBackend
 
@@ -152,6 +152,17 @@ def test_run_bench_disagreement_aborts(monkeypatch):
     monkeypatch.setattr(bench_mod, "lcs_length", broken)
     cases = bench.default_cases(n=16, sigma=2, seed=0)
     with pytest.raises(bench.BenchDisagreement):
+        bench.run_bench(cases, repeats=1)
+
+
+def test_run_bench_checks_every_dense_cap_before_any_case(monkeypatch):
+    # the third case, n = 8400, is over the oracle's 2^26 cells: nothing runs
+    def never(*args, **kwargs):
+        raise AssertionError("lcs_length ran before the cap check")
+
+    monkeypatch.setattr(bench, "lcs_length", never)
+    cases = bench.default_cases(n=4200, sigma=16, backends=("veb", "dp_oracle"))
+    with pytest.raises(DpCapError):
         bench.run_bench(cases, repeats=1)
 
 

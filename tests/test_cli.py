@@ -1,17 +1,22 @@
 import argparse
+import ast
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lcseq
 from lcseq.cli import build_parser
 from lcseq.core import BENCH_BACKENDS, LENGTH_BACKENDS
 
 from helpers import (
+    run_cli_with_failed_validation,
     run_cli_with_literal_guard,
     run_cli_with_overcounting_bitpar,
     run_cli_with_overcounting_kernel,
@@ -114,26 +119,40 @@ def test_import_does_not_load_numpy():
 
 _DEFAULT_PATH_PROBE = """\
 import sys
+sys.path.insert(0, sys.argv.pop(1))  # `python -S` skips an editable install's .pth
 import lcseq.cli
 for kind in ("length", "subseq"):
     assert lcseq.cli.main([kind, *sys.argv[1:]]) == 0
-print([m for m in ("lcseq.bench", "lcseq.shadow", "lcseq.veb", "lcseq.bst", "numpy",
-                   "dataclasses", "inspect", "json")
+print([m for m in ("lcseq.bench", "lcseq.shadow", "lcseq.threshold", "lcseq.veb", "lcseq.bst",
+                   "numpy", "dataclasses", "inspect", "json", "typing")
        if m in sys.modules])
 """
 
 
-@pytest.mark.parametrize("pair", [ONE_PER_ROW, SIGMA_2], ids=["bisect", "bitpar"])
-def test_length_and_subseq_load_only_the_default_path(tmp_path, pair):
-    # the benchmark harness, the shadow checker, the counted trees, the
-    # oracle's numpy, dataclasses (and the inspect it pulls in) and json stay
-    # unloaded on the user path in text mode
+def _default_path_modules(tmp_path, pair, *flags) -> list[str]:
+    """The probe's listed modules loaded after `length` and `subseq` in one process."""
     fa, fb = write_pair(tmp_path, *pair)
+    src = str(Path(lcseq.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _DEFAULT_PATH_PROBE, fa, fb], capture_output=True, timeout=120
+        [sys.executable, *flags, "-c", _DEFAULT_PATH_PROBE, src, fa, fb],
+        capture_output=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == b"[]"
+    return ast.literal_eval(proc.stdout.splitlines()[-1].decode())
+
+
+@pytest.mark.parametrize("pair", [ONE_PER_ROW, SIGMA_2], ids=["bisect", "bitpar"])
+def test_length_and_subseq_load_only_the_default_path(tmp_path, pair):
+    # the benchmark harness, the shadow checker, the counted sets and trees,
+    # the oracle's numpy, dataclasses (and the inspect it pulls in) and json
+    # stay unloaded on the user path in text mode; a site may load typing
+    assert [m for m in _default_path_modules(tmp_path, pair) if m != "typing"] == []
+
+
+@pytest.mark.parametrize("pair", [ONE_PER_ROW, SIGMA_2], ids=["bisect", "bitpar"])
+def test_default_path_loads_no_typing_without_site(tmp_path, pair):
+    assert _default_path_modules(tmp_path, pair, "-S") == []
 
 
 _JSON_PROBE = """\
@@ -455,6 +474,16 @@ def test_verify_checks_bitpar_kernel(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+def test_verify_above_dense_cap_fails_before_any_backend(tmp_path):
+    # a dense pair: the named sets alone would run for minutes before the oracle
+    rng = random.Random(8192)
+    a, b = (bytes(rng.choice(b"ACGT") for _ in range(8192)) for _ in range(2))
+    fa, fb = write_pair(tmp_path, a, b)
+    proc = subprocess.run(CLI + ["verify", fa, fb], capture_output=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"error: dense table needs")
+
+
 def test_verify_above_dense_cap_is_resource_error(tmp_path):
     # (8200 + 1)^2 cells exceed the dense oracle's 2^26 cap
     lines = [b"line %d" % i for i in range(8200)]
@@ -545,4 +574,22 @@ def test_subseq_short_lcs_is_an_error_line(tmp_path):
     proc = run_cli_with_short_extract("subseq", fa, fb)
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: extracted 0 symbols")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_subseq_failed_validation_is_an_error_line(tmp_path):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = run_cli_with_failed_validation("subseq", fa, fb)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: reconstructed subsequence failed validation\n"
+
+
+def test_unencodable_output_is_a_usage_error(tmp_path):
+    # the Latin-1 rendering of byte 0xe9 has no ASCII encoding
+    fa, fb = write_pair(tmp_path, b"caf\xe9 au lait", b"un caf\xe9 noir")
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    proc = subprocess.run(CLI + ["subseq", fa, fb], capture_output=True, timeout=120, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == b"L = 6\n"
+    assert proc.stderr.startswith(b"error: 'ascii' codec can't encode")
     assert b"Traceback" not in proc.stderr

@@ -551,6 +551,17 @@ def test_reconstruction_memory_cap():
     assert exc.value.r == 16
 
 
+def test_named_bitpar_reconstruction_keeps_the_cap_bound(monkeypatch):
+    # R = 4096 is within the cap, but bitpar by name would keep 4096 rows of
+    # 64 words, over 21 * 4096; it raises before any mask is built
+    x = Sequence(tuple(range(4096)))
+    assert lcs_reconstruct(x, x, memory_cap=4096).backend == "bisect"
+    monkeypatch.setattr(core, "_symbol_masks", None)
+    with pytest.raises(ReconstructionCapError, match="262144 bitpar row words") as exc:
+        lcs_reconstruct(x, x, memory_cap=4096, backend="bitpar")
+    assert (exc.value.r, exc.value.cap) == (4096, 4096)
+
+
 def test_dp_cap():
     # 8193^2 cells are just over the 2^26 cap; the check runs before numpy allocates
     x = Sequence(tuple(range(8192)))
