@@ -122,9 +122,6 @@ class PositionLists(_Record):
         self.lists = lists
         self.length = length
 
-    def positions(self, symbol: Hashable) -> list[int]:
-        return self.lists.get(symbol, [])
-
 
 class MatchStats(_FrozenRecord):
     """R matched pairs of x (length m) against y (length n); L is ``LcsResult.length``."""

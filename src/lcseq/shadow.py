@@ -178,7 +178,7 @@ def shadow_run(x: Sequence, y: Sequence) -> list[ShadowState]:
     prev_h: list[int] | None = None
     for i, sym in enumerate(x.symbols, start=1):
         tracker.ts.begin_row()
-        row_t = {(i, j): tracker.apply_match(i, j) for j in pl.positions(sym)}
+        row_t = {(i, j): tracker.apply_match(i, j) for j in pl.lists.get(sym, ())}
         tracker.check_row(i, prev_h)
         prev_h = list(tracker.h)
         snapshots.append(tracker.snapshot(i, row_t))

@@ -3,22 +3,20 @@
 The set holds strictly increasing integers in 1..capacity.  `update(x)`
 replaces the successor of x-1 (the smallest member >= x) with x when one
 exists, and appends x otherwise; the set therefore never shrinks and
-grows by at most one per update.  Three interchangeable backends realize
-the same contract with different cost profiles:
+grows by at most one per update.  ``ThresholdSet`` is the one counted
+contract over an ordered structure, which each backend supplies:
 
 * ``VebBackend``  - van Emde Boas tree, O(log log n) per operation.
 * ``TreeBackend`` - AVL tree, O(log size) per operation.
-* ``ArrayBackend``- sorted vector with a per-row downward scan cursor,
-  O(size) per row when updates within a row arrive in strictly
-  decreasing order (the paper's O(nL) vector).
+* ``ArrayBackend``- sorted vector whose replace step is a per-row
+  downward scan: O(size) per row when updates within a row arrive in
+  strictly decreasing order (the paper's O(nL) vector).
 
-They count every operation and are the named ``--backend`` choices and
-the references the tests audit.  ``make_threshold_set`` maps one of
-``BACKEND_NAMES`` to its backend.  ``lcseq.core`` holds those names and
-``OpCounters``, and imports this module only when a named set runs.
-
-Queries use 0 as the "no such element" sentinel, matching the
-positive-integer key space.
+They are the named ``--backend`` choices and the references the tests
+audit; ``make_threshold_set`` maps one of ``BACKEND_NAMES`` to its
+backend.  ``lcseq.core`` holds those names and ``OpCounters``, and
+imports this module only when a named set runs.  Queries use 0 as the
+"no such element" sentinel, matching the positive-integer key space.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ __all__ = [
 
 
 class RowCost(NamedTuple):
-    """Array-backend cost record for one row (a NamedTuple: cheap to build per row)."""
+    """Array-backend cost record for one row, built when ``row_costs()`` is read."""
 
     alpha_start: int
     updates: int
@@ -53,18 +51,16 @@ class RowCost(NamedTuple):
 class ThresholdSet:
     """The counted ordered set DS over 1..capacity behind each named backend.
 
-    Operations: ``update(x)`` (returns the replaced member, or None when
-    x was appended), ``succ(x)`` (smallest member > x), ``pred(x)``
-    (largest member < x), ``max()``, ``size()``, ``contents()`` (the
-    members in ascending order) and the row-boundary hint
-    ``begin_row()``.  Update, Succ and Pred are counted in ``counters``.
-    This base class runs them over ``self.tree``, an ordered integer set
-    with ``successor``/``predecessor`` (None when absent), ``insert``,
-    ``delete``, ``max``, ``len`` and ascending iteration;
-    ``ArrayBackend`` overrides them over a sorted list.
+    ``update``, ``succ``, ``pred``, ``max``, ``size`` and ``contents`` run
+    over ``self.tree``, an ordered integer set with ``successor`` and
+    ``predecessor`` (None when absent), ``max``, ``len`` and ascending
+    iteration.  Only this class counts, in ``counters``: each Succ and
+    Pred, and per update one Succ, one Insert and, when a member was
+    replaced, one Delete.  A backend changes only the uncounted replace
+    step, ``_replace``, and may use the row-boundary hint ``begin_row``.
     """
 
-    tree: VebTree | AvlTree
+    tree: VebTree | AvlTree | _SortedVector
     name: str  # the backend name that ``make_threshold_set`` maps to this class
 
     def __init__(self, capacity: int):
@@ -72,9 +68,6 @@ class ThresholdSet:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.counters = OpCounters()
-
-    def _range_error(self, op: str, x: int, low: int) -> ValueError:
-        return ValueError(f"{op} argument {x} outside {low}..{self.capacity}")
 
     def size(self) -> int:
         return len(self.tree)
@@ -86,14 +79,14 @@ class ThresholdSet:
     def succ(self, x: int) -> int:
         """Smallest member > x, or 0."""
         if not 0 <= x <= self.capacity:
-            raise self._range_error("succ", x, 0)
+            raise ValueError(f"succ argument {x} outside 0..{self.capacity}")
         self.counters.succ += 1
         return self.tree.successor(x) or 0
 
     def pred(self, x: int) -> int:
         """Largest member < x, or 0."""
         if not 1 <= x <= self.capacity:
-            raise self._range_error("pred", x, 1)
+            raise ValueError(f"pred argument {x} outside 1..{self.capacity}")
         self.counters.pred += 1
         return self.tree.predecessor(x) or 0
 
@@ -103,16 +96,23 @@ class ThresholdSet:
         Returns the replaced member, or None when x was appended.
         """
         if not 1 <= x <= self.capacity:
-            raise self._range_error("update", x, 1)
+            raise ValueError(f"update argument {x} outside 1..{self.capacity}")
         counters = self.counters
         counters.update += 1
         counters.succ += 1
-        y = self.tree.successor(x - 1)
+        counters.insert += 1
+        y = self._replace(x)
         if y is not None:
             counters.delete += 1
-            self.tree.delete(y)
-        counters.insert += 1
-        self.tree.insert(x)
+        return y
+
+    def _replace(self, x: int) -> int | None:
+        """Put x in place of the successor of x-1, or append it, by ``tree.delete``/``insert``."""
+        tree = self.tree
+        y = tree.successor(x - 1)
+        if y is not None:
+            tree.delete(y)
+        tree.insert(x)
         return y
 
     def contents(self) -> list[int]:
@@ -150,103 +150,82 @@ class TreeBackend(ThresholdSet):
         self.tree = AvlTree()
 
 
+class _SortedVector:
+    """Sorted ints in ``items``; a wrapper, not a list subclass, so the array scan indexes fast."""
+
+    __slots__ = ("items",)
+
+    def __init__(self):
+        self.items: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def successor(self, x: int) -> int | None:
+        i = bisect_right(self.items, x)
+        return self.items[i] if i < len(self.items) else None
+
+    def predecessor(self, x: int) -> int | None:
+        i = bisect_left(self.items, x)
+        return self.items[i - 1] if i > 0 else None
+
+    @property
+    def max(self) -> int | None:
+        return self.items[-1] if self.items else None
+
+
 class ArrayBackend(ThresholdSet):
-    """Threshold set on a sorted dense vector with a row-scan cursor.
+    """Threshold set on a sorted vector S, a scan cursor and per-row cost records.
 
     Within one row the update arguments arrive in strictly decreasing
-    order, so the successor scan can resume downward from where the
-    previous update stopped; total element comparisons per row are then
-    at most alpha + row_updates + 1.  Out-of-order calls (allowed for
-    generic use) restart the scan from the top of the vector.
+    order, so the successor scan resumes downward below the previous
+    update, which sits at S[cursor + 1]; comparisons per row are then at
+    most alpha + row_updates + 1.  An out-of-order update (x not below
+    S[cursor + 1], allowed for generic use) restarts the scan from the
+    top, and one before any ``begin_row`` opens a row.
     """
 
     name = "array"
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
-        self._s: list[int] = []
-        self._alpha = 0  # len(self._s); the attribute is cheaper than len() per update
+        self.tree = _SortedVector()
         self._cursor = -1
-        self._last_x: int | None = None
-        self._row_costs: list[RowCost] = []
-        self._row_alpha_start = 0
-        self._row_updates = 0
-        self._row_comparisons = 0
-        self._row_open = False
-
-    def size(self) -> int:
-        return self._alpha
-
-    def max(self) -> int:
-        return self._s[-1] if self._s else 0
-
-    def succ(self, x: int) -> int:
-        if not 0 <= x <= self.capacity:
-            raise self._range_error("succ", x, 0)
-        self.counters.succ += 1
-        i = bisect_right(self._s, x)
-        return self._s[i] if i < len(self._s) else 0
-
-    def pred(self, x: int) -> int:
-        if not 1 <= x <= self.capacity:
-            raise self._range_error("pred", x, 1)
-        self.counters.pred += 1
-        i = bisect_left(self._s, x)
-        return self._s[i - 1] if i > 0 else 0
-
-    def _row_cost(self) -> RowCost:
-        return RowCost(self._row_alpha_start, self._row_updates, self._row_comparisons)
+        self._rows: list[list[int]] = []  # [alpha_start, updates, comparisons] per row
 
     def begin_row(self) -> None:
-        if self._row_open:
-            self._row_costs.append(self._row_cost())
-        self._row_updates = 0
-        self._row_comparisons = 0
-        self._cursor = self._alpha - 1
-        self._last_x = None
-        self._row_alpha_start = self._alpha
-        self._row_open = True
+        self._cursor = len(self.tree.items) - 1
+        self._rows.append([len(self.tree.items), 0, 0])
 
     def row_costs(self) -> list[RowCost]:
         """Per-row cost records, including the still-open row."""
-        if self._row_open:
-            return self._row_costs + [self._row_cost()]
-        return list(self._row_costs)
+        return [RowCost(*row) for row in self._rows]
 
-    def update(self, x: int) -> int | None:
-        if not 1 <= x <= self.capacity:
-            raise self._range_error("update", x, 1)
-        self.counters.update += 1
-        self.counters.succ += 1
-        if not self._row_open or (self._last_x is not None and x >= self._last_x):
-            # no row discipline to exploit; restart the scan from the top
-            self._cursor = self._alpha - 1
-            if not self._row_open:
-                self._row_alpha_start = self._alpha
-                self._row_open = True
-        s = self._s
-        k0 = k = self._cursor
+    def _replace(self, x: int) -> int | None:
+        rows = self._rows
+        if not rows:
+            self.begin_row()
+        s = self.tree.items
+        n = len(s)
+        k = self._cursor
+        if k + 1 < n and s[k + 1] <= x:
+            k = n - 1  # no row discipline to exploit; restart from the top
+        k0 = k
         while k >= 0 and s[k] >= x:
             k -= 1
+        row = rows[-1]
+        row[1] += 1
         # one comparison per element stepped over, plus the one that stopped it
-        self._row_comparisons += k0 - k + (k >= 0)
-        slot = k + 1
-        if slot == self._alpha:
-            s.append(x)
-            self._alpha += 1
-            replaced = None
-        else:
-            replaced = s[slot]
-            self.counters.delete += 1
-            s[slot] = x
-        self.counters.insert += 1
+        row[2] += k0 - k + (k >= 0)
         self._cursor = k
-        self._last_x = x
-        self._row_updates += 1
+        if k + 1 == n:
+            s.append(x)
+            return None
+        replaced, s[k + 1] = s[k + 1], x
         return replaced
-
-    def contents(self) -> list[int]:
-        return self._s[: self._alpha]
 
 
 def make_threshold_set(capacity: int, backend: str) -> ThresholdSet:

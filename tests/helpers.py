@@ -95,21 +95,16 @@ class LiteralGuardVebBackend(VebBackend):
 
     The guard skips the delete when the successor is the current maximum,
     so the set can over-grow.  Deliberately faulty: tests inject it to show
-    that verification catches a wrong backend.
+    that verification catches a wrong backend.  It changes only the
+    replace step; ``ThresholdSet.update`` still checks and counts.
     """
 
-    def update(self, x: int) -> int | None:
-        if not 1 <= x <= self.capacity:
-            raise self._range_error("update", x, 1)
-        self.counters.update += 1
-        self.counters.succ += 1
+    def _replace(self, x: int) -> int | None:
         k = self.tree.successor(x - 1)
         replaced = None
         if k and k < self.max():
-            self.counters.delete += 1
             self.tree.delete(k)
             replaced = k
-        self.counters.insert += 1
         self.tree.insert(x)
         return replaced
 

@@ -99,7 +99,7 @@ def test_tree_backend_depth_bound_in_driver():
     ts = TreeBackend(len(y))
     max_height = 0
     for sym in x.symbols:
-        for j in pl.positions(sym):
+        for j in pl.lists.get(sym, ()):
             ts.update(j)
             max_height = max(max_height, ts.tree.height)
     size = ts.size()

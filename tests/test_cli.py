@@ -16,6 +16,7 @@ from lcseq.cli import build_parser
 from lcseq.core import BENCH_BACKENDS, LENGTH_BACKENDS
 
 from helpers import (
+    overcounting_kernel,
     run_cli_with_failed_validation,
     run_cli_with_literal_guard,
     run_cli_with_overcounting_bitpar,
@@ -494,6 +495,56 @@ def test_verify_above_dense_cap_is_resource_error(tmp_path):
     assert proc.returncode == 3
     assert b"Traceback" not in proc.stderr
     assert proc.stderr.startswith(b"error: ")
+
+
+def test_verify_dense_pair_skips_the_counted_sets(tmp_path):
+    # R is about n^2/4 = 1M here; the counted sets took 27.6 s of a verify run
+    rng = random.Random(2048)
+    a, b = (bytes(rng.choice(b"ACGT") for _ in range(2048)) for _ in range(2))
+    fa, fb = write_pair(tmp_path, a, b)
+    proc = subprocess.run(CLI + ["verify", fa, fb], capture_output=True, timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"ok: all backends agree, L = ")
+    assert b" (veb, tree, array skipped: R = " in proc.stdout
+    assert proc.stdout.endswith(b" > 262144)\n")
+
+
+def _spy_verify(monkeypatch, limit, *inputs):
+    """In-process `verify` with the counted-set limit at `limit`; returns (exit, names run)."""
+    import lcseq.cli as cli
+
+    ran = []
+    real = cli.lcs_length
+
+    def spy(x, y, backend="auto", **kwargs):
+        ran.append(backend)
+        return real(x, y, backend=backend, **kwargs)
+
+    monkeypatch.setattr(cli, "lcs_length", spy)
+    monkeypatch.setattr(cli, "VERIFY_SETS_MAX_R", limit)
+    return cli.main(["verify", *inputs]), ran
+
+
+def test_verify_runs_every_backend_up_to_the_set_limit(tmp_path, monkeypatch, capsys):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")  # R = 12
+    code, ran = _spy_verify(monkeypatch, 12, fa, fb)
+    assert code == 0 and sorted(ran) == sorted(LENGTH_BACKENDS)
+    assert capsys.readouterr().out == "ok: all backends agree, L = 4\n"
+    code, ran = _spy_verify(monkeypatch, 11, fa, fb)
+    assert code == 0 and ran == ["auto", "bisect", "bitpar"]
+    assert capsys.readouterr().out == (
+        "ok: all backends agree, L = 4 (veb, tree, array skipped: R = 12 > 11)\n"
+    )
+
+
+def test_verify_failure_reports_the_skipped_sets(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(lcseq.core, "_threshold_rows", overcounting_kernel)
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    code, _ = _spy_verify(monkeypatch, 0, fa, fb)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("FAIL: ") and "'bisect': 5" in err
+    assert err.endswith("\n(veb, tree, array skipped: R = 12 > 0)\n")
 
 
 def test_bench_csv():

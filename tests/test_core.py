@@ -120,7 +120,7 @@ def test_kernel_rows_equal_array_backend():
         ts = ArrayBackend(max(n, 1))
         for i, sym in enumerate(x.symbols, start=1):
             ts.begin_row()
-            for j in pl.positions(sym):
+            for j in pl.lists.get(sym, ()):
                 ts.update(j)
             assert _threshold_rows(x.symbols[:i], pl.lists)[1:] == ts.contents(), (idx, i)
         measured = lcs_length(x, y, backend="array", position_lists=pl).counters
@@ -255,7 +255,7 @@ def test_threshold_contents_match_dp_minima():
         pl = build_position_lists(y)
         ts = make_threshold_set(max(len(y), 1), "veb")
         for sym in x.symbols:
-            for j in pl.positions(sym):
+            for j in pl.lists.get(sym, ()):
                 ts.update(j)
         table = dp_oracle(x, y)
         final_row = table[len(x)]
@@ -288,7 +288,7 @@ def test_chain_geometry():
         # matches are numbered row by row in enumeration order
         row = [0]
         for i, sym in enumerate(x.symbols, start=1):
-            row.extend([i] * len(pl.positions(sym)))
+            row.extend([i] * len(pl.lists.get(sym, ())))
         assert len(row) == trace.count + 1
         for k in range(1, trace.count + 1):
             p = trace.predecessor[k]

@@ -52,16 +52,13 @@ def test_tokenize_unknown_mode():
 
 def test_position_lists_example():
     pl = build_position_lists(from_text("bdcaba"))
-    assert pl.positions(ord("a")) == [6, 4]
-    assert pl.positions(ord("b")) == [5, 1]
-    assert pl.positions(ord("c")) == [3]
-    assert pl.positions(ord("d")) == [2]
-    assert pl.positions(ord("z")) == []
+    assert pl.lists == {ord("a"): [6, 4], ord("b"): [5, 1], ord("c"): [3], ord("d"): [2]}
+    assert ord("z") not in pl.lists
 
 
 def test_position_lists_uniform_and_empty():
     pl = build_position_lists(from_text("aaaa"))
-    assert pl.positions(ord("a")) == [4, 3, 2, 1]
+    assert pl.lists == {ord("a"): [4, 3, 2, 1]}
     pl = build_position_lists(from_text(""))
     assert pl.lists == {}
 
@@ -97,7 +94,7 @@ def test_count_matches_vs_brute_force():
             expected_cols = sorted(
                 (j for (ii, j) in matches if ii == i), reverse=True
             )
-            assert pl.positions(x.symbols[i - 1]) == expected_cols
+            assert pl.lists.get(x.symbols[i - 1], []) == expected_cols
 
 
 def test_column_map_distinct_y():

@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +45,16 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'dp_traceback'"):
         lcseq.dp_traceback
     assert not hasattr(lcseq, "no_such_name")
+
+
+def test_package_source_has_no_assert_statement():
+    # checks must survive `python -O`, which strips every assert
+    sources = sorted(Path(lcseq.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -220,6 +220,30 @@ def test_array_row_cost_exact():
     assert ts.row_costs()[-1] == RowCost(alpha_start=3, updates=2, comparisons=4)
 
 
+def test_array_row_costs_pinned_on_mixed_stream():
+    # three updates before any begin_row open a row (16 after 16 restarts
+    # the scan); then rows of decreasing runs, each with out-of-order tails
+    rng = random.Random(16)
+    ops = [rng.randint(1, 30) for _ in range(3)]
+    for _ in range(8):
+        ops.append(None)
+        ops += sorted(rng.sample(range(1, 31), rng.randint(0, 6)), reverse=True)
+        ops += [rng.randint(1, 30) for _ in range(rng.randint(0, 2))]
+    assert ops[:4] == [12, 16, 16, None]
+    ts = ArrayBackend(30)
+    ref: list[int] = []
+    for x in ops:
+        if x is None:
+            ts.begin_row()
+        else:
+            assert ts.update(x) == reference_update(ref, x)
+    assert ts.contents() == ref
+    assert ts.row_costs() == [
+        RowCost(0, 3, 3), RowCost(2, 3, 3), RowCost(2, 4, 5), RowCost(3, 7, 13), RowCost(4, 6, 13),
+        RowCost(5, 3, 4), RowCost(5, 1, 2), RowCost(5, 5, 9), RowCost(6, 2, 2),
+    ]
+
+
 def test_array_out_of_order_updates_still_correct():
     n = 64
     rng = random.Random(17)
