@@ -14,9 +14,9 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .core import (BACKEND_NAMES, BENCH_BACKENDS, STRUCTURES, OpCounters, check_dp_cap,
-                   dp_oracle, lcs_length)
-from .matching import Sequence, build_position_lists, count_matches
+from .core import (BACKEND_NAMES, BENCH_BACKENDS, STRUCTURES, OpCounters, _plan,
+                   check_dp_cap, dp_oracle, lcs_length)
+from .matching import Sequence
 
 __all__ = [
     "BenchCase",
@@ -118,7 +118,11 @@ def gen_pair(case: BenchCase) -> tuple[Sequence, Sequence]:
 
 
 def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
-    """Run every enabled backend per case; min-of-repeats timing."""
+    """Run every enabled backend per case; min-of-repeats timing.
+
+    R comes from the planner that ``lcs_length`` runs, and each timed call
+    builds its own index, so ``time_ns`` covers the whole call.
+    """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     oracle_cases = [case for case in cases if "dp_oracle" in case.backends]
@@ -129,8 +133,7 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
     records: list[BenchRecord] = []
     for case in cases:
         x, y = gen_pair(case)
-        pl = build_position_lists(y)
-        r = count_matches(x, pl).r
+        r = _plan(x, y, "auto")[1].r
         lengths: dict[str, int] = {}
         for backend in case.backends:
             best_ns = None
@@ -139,7 +142,7 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
                 if backend == "dp_oracle":
                     table = dp_oracle(x, y)
                 else:
-                    res = lcs_length(x, y, backend=backend, position_lists=pl)
+                    res = lcs_length(x, y, backend=backend)
                 wall = time.perf_counter_ns() - t0
                 if best_ns is None or wall < best_ns:
                     best_ns = wall

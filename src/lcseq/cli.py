@@ -35,12 +35,13 @@ from .core import (
     STRUCTURES,
     DpCapError,
     ReconstructionCapError,
+    _plan,
     dp_oracle,
     lcs_length,
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from .matching import MODES, Sequence, build_position_lists, count_matches, tokenize
+from .matching import MODES, Sequence, tokenize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -118,8 +119,7 @@ def cmd_subseq(args) -> int:
 
 def cmd_stats(args) -> int:
     x, y = _load_pair(args)
-    pl = build_position_lists(y)
-    stats = count_matches(x, pl)
+    stats = _plan(x, y, "auto")[1]  # R as `length` counts it, from the same index
     payload = {
         "m": len(x),
         "n": len(y),

@@ -30,12 +30,12 @@ only then; those are the paper's structures and the references the tests audit.
 derives its index from (x, y) and checks its arguments before building it.
 
 ``_plan`` does all the work before a kernel (the column map, or the
-position lists and R, and the choice), so ``lcs_length`` and
-``lcs_reconstruct`` take the same kernel on every input.  Reconstruction
-runs that kernel's trace builder: ``_bisect_trace`` and
-``_distinct_trace`` record each match's predecessor and column (O(R)
-space); ``_bitpar_trace`` keeps the rows and walks back the L-column
-chain in at most m + n steps.  Where ``auto`` picks ``bitpar`` its rows
+position lists and R, and the choice), so ``lcs_length``,
+``lcs_reconstruct`` and the CLI's ``stats`` see one index and one
+kernel.  Reconstruction runs that kernel's trace builder:
+``_bisect_trace`` and ``_distinct_trace`` record each match's
+predecessor and column (O(R) space); ``_bitpar_trace`` keeps the rows
+and walks back the L-column chain in at most m + n steps.  Where ``auto`` picks ``bitpar`` its rows
 hold fewer than ``BITPAR_WORDS_PER_MATCH * R`` 64-bit words, and by name
 at most that many times the cap, both known before the work starts.
 ``extract_lcs`` reads either trace back in O(L).  A dense Wagner-Fischer
@@ -290,22 +290,22 @@ def _distinct_rows(cols: list[int | None]) -> int:
 
 
 def _plan(
-    x: Sequence, y: Sequence, backend: str, position_lists: PositionLists | None = None
+    x: Sequence, y: Sequence, backend: str
 ) -> tuple[str, MatchStats, list[int | None] | None, dict[Hashable, list[int]] | None]:
     """Everything before a kernel runs; returns (backend, stats, cols, lists).
 
-    Under ``auto`` and ``bisect``, a y of distinct tokens gives its
-    ``column_map`` as cols, the backend ``bisect`` and no lists.
-    Otherwise cols is ``None``, lists are y's position lists (built
-    unless given), R comes from ``count_matches``, and ``auto`` resolves
-    to a kernel by ``_choose_kernel``.
+    The one place in the package that builds an index for a kernel and
+    counts R.  Under ``auto`` and ``bisect``, a y of distinct tokens gives
+    its ``column_map`` as cols, the backend ``bisect`` and no lists.
+    Otherwise cols is ``None``, lists are y's position lists, R comes from
+    ``count_matches``, and ``auto`` resolves to a kernel by ``_choose_kernel``.
     """
     if backend == "auto" or backend == "bisect":
         cols = column_map(x, y)
         if cols is not None:
             m = len(x)
             return "bisect", MatchStats(r=m - cols.count(None), n=len(y), m=m), cols, None
-    pl = position_lists if position_lists is not None else build_position_lists(y)
+    pl = build_position_lists(y)
     stats = count_matches(x, pl)
     if backend == "auto":
         backend = _choose_kernel(stats.r, stats.m, stats.n)
@@ -321,19 +321,12 @@ def lcs_length(
     """LCS length of x and y: a kernel for ``auto``/``bisect``/``bitpar``, else the named set.
 
     A name outside ``LENGTH_BACKENDS`` raises ``ValueError`` before any index
-    is built.  Given ``position_lists`` (y's) are not built again; under ``auto``
-    and ``bisect`` a y of distinct tokens runs off ``column_map`` instead.
-    Lists whose ``length`` is not len(y) raise ``ValueError`` before any work;
-    that lists of that length come from y itself is the caller's to ensure.
+    is built.  The index always comes from y, by ``_plan``; ``position_lists``
+    is accepted and ignored, as ``tokenize`` ignores ``table``.
     """
     if backend not in LENGTH_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {LENGTH_BACKENDS}")
-    if position_lists is not None and position_lists.length != len(y):
-        raise ValueError(
-            f"position_lists are for a sequence of length {position_lists.length}, "
-            f"y has length {len(y)}"
-        )
-    backend, stats, cols, lists = _plan(x, y, backend, position_lists)
+    backend, stats, cols, lists = _plan(x, y, backend)
     if cols is not None:
         length = _distinct_rows(cols)
     elif backend == "bisect":

@@ -23,7 +23,7 @@ from lcseq.core import (
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from lcseq.matching import Sequence, build_position_lists
+from lcseq.matching import Sequence
 from lcseq.shadow import ShadowTracker, shadow_run
 from lcseq.veb import VebTree
 
@@ -50,14 +50,12 @@ def test_criterion_1_exhaustive_equivalence():
     pairs = 0
     for alphabet, max_len in (((0, 1), 6), ((0, 1, 2), 4)):
         strings = _all_strings(alphabet, max_len)
-        lists = [build_position_lists(y) for y in strings]
-        for yi, y in enumerate(strings):
-            pl = lists[yi]
+        for y in strings:
             for x in strings:
                 expected = int(dp_oracle(x, y)[len(x)][len(y)])
                 # the two kernels are checked as independent oracles too
                 for backend in ("veb", "tree", "array", *KERNEL_NAMES):
-                    res = lcs_length(x, y, backend=backend, position_lists=pl)
+                    res = lcs_length(x, y, backend=backend)
                     assert res.length == expected, (backend, x.symbols, y.symbols)
                     if backend == "veb":
                         c = res.counters
@@ -98,12 +96,11 @@ def random_corpus():
             n = int(201 * rng.random() ** 2)
         x = Sequence(tuple(rng.randrange(sigma) for _ in range(m)))
         y = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
-        pl = build_position_lists(y)
         expected = int(dp_oracle(x, y)[m][n])
         lengths = {}
         results = {}
         for backend in ("veb", "tree", "array", *KERNEL_NAMES):
-            res = lcs_length(x, y, backend=backend, position_lists=pl)
+            res = lcs_length(x, y, backend=backend)
             lengths[backend] = res.length
             results[backend] = res
         # both reconstruction paths, whichever `auto` would pick

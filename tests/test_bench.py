@@ -143,8 +143,8 @@ def test_run_bench_disagreement_aborts(monkeypatch):
 
     real = bench_mod.lcs_length
 
-    def broken(x, y, backend="veb", position_lists=None):
-        res = real(x, y, backend=backend, position_lists=position_lists)
+    def broken(x, y, backend="veb"):
+        res = real(x, y, backend=backend)
         if backend == "tree":
             res.length += 1
         return res

@@ -379,6 +379,37 @@ def test_stats(tmp_path):
     assert payload["R"] == 4 and payload["m"] == 2 and payload["n"] == 2
 
 
+STATS_PAIRS = {
+    "distinct_lines": (b"a\nb\nc\nd\ne\nf\n", b"b\nx\nd\na\nf\ne\n", "lines"),
+    "one_repeated_line": (b"a\n\nb\n}\nc\n\n", b"\na\nb\n\nc\n}\n", "lines"),
+    "acgt_bytes": (*(bytes(random.Random(s).choices(b"ACGT", k=300)) for s in (7, 8)), "bytes"),
+}
+
+
+def _json_main(capsys, *args) -> dict:
+    assert lcseq.cli.main([*args, "--output", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", STATS_PAIRS)
+def test_stats_and_length_read_one_index(tmp_path, monkeypatch, capsys, name):
+    a, b, mode = STATS_PAIRS[name]
+    fa, fb = write_pair(tmp_path, a, b)
+    stats = _json_main(capsys, "stats", fa, fb, "--mode", mode)
+    length = _json_main(capsys, "length", fa, fb, "--mode", mode)
+    assert {k: stats[k] for k in ("m", "n", "R")} == {k: length[k] for k in ("m", "n", "R")}
+    if name != "distinct_lines":
+        return
+
+    def refuse(*args):
+        raise AssertionError("stats built position lists for a y of distinct tokens")
+
+    monkeypatch.setattr(lcseq.core, "build_position_lists", refuse)
+    monkeypatch.setattr(lcseq.core, "count_matches", refuse)
+    monkeypatch.setattr(lcseq.cli, "build_position_lists", refuse, raising=False)
+    assert _json_main(capsys, "stats", fa, fb, "--mode", mode) == stats
+
+
 def test_stdin_first_input(tmp_path):
     fb = tmp_path / "b"
     fb.write_bytes(b"bdcaba")

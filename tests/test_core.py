@@ -123,8 +123,8 @@ def test_kernel_rows_equal_array_backend():
             for j in pl.lists.get(sym, ()):
                 ts.update(j)
             assert _threshold_rows(x.symbols[:i], pl.lists)[1:] == ts.contents(), (idx, i)
-        measured = lcs_length(x, y, backend="array", position_lists=pl).counters
-        assert lcs_length(x, y, position_lists=pl).counters == measured, idx
+        measured = lcs_length(x, y, backend="array").counters
+        assert lcs_length(x, y).counters == measured, idx
         assert lcs_reconstruct(x, y).counters == measured, idx
 
 
@@ -222,10 +222,9 @@ def test_random_equivalence_and_validity():
     for _ in range(120):
         sigma = rng.choice((2, 4, 26))
         x, y = rand_seq(rng, 80, sigma), rand_seq(rng, 80, sigma)
-        pl = build_position_lists(y)
         expected = int(dp_oracle(x, y)[len(x)][len(y)])
         for backend in (*BACKEND_NAMES, *KERNEL_NAMES):
-            assert lcs_length(x, y, backend=backend, position_lists=pl).length == expected
+            assert lcs_length(x, y, backend=backend).length == expected
         for backend in ("auto", *KERNEL_NAMES):
             res = lcs_reconstruct(x, y, backend=backend)
             assert res.length == expected
@@ -473,20 +472,15 @@ def test_length_checks_backend_name_before_any_index(monkeypatch, backend):
 
 
 @pytest.mark.parametrize("backend", LENGTH_BACKENDS)
-def test_length_rejects_position_lists_of_another_length(monkeypatch, backend):
-    # lists built from "xyz" (n = 3) for a y of length 6 would give L = 0;
-    # the check is a ValueError before the planner runs
+def test_length_ignores_given_position_lists(backend):
+    # lists of another sequence, of another length ("xyz") or of y's ("aaaaaa"),
+    # would give L = 0 or L = 2 if used; the index always comes from y
     x, y = from_text("abcbdab"), from_text("bdcaba")
-    wrong = build_position_lists(from_text("xyz"))
-
-    def refuse(*args):
-        raise AssertionError("the planner ran on another sequence's position lists")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "_plan", refuse)
-        with pytest.raises(ValueError, match="length 3, y has length 6"):
-            lcs_length(x, y, backend=backend, position_lists=wrong)
-    assert lcs_length(x, y, backend=backend, position_lists=build_position_lists(y)).length == 4
+    expected = lcs_length(x, y, backend=backend)
+    assert expected.length == 4 and expected.stats.n == 6
+    for other in ("xyz", "aaaaaa"):
+        given = build_position_lists(from_text(other))
+        assert lcs_length(x, y, backend=backend, position_lists=given) == expected, other
 
 
 @pytest.mark.parametrize("b", ["xyz", ""])
@@ -644,7 +638,6 @@ def test_distinct_y_builds_no_position_lists(monkeypatch):
     x, y = from_text("abcbdab"), from_text("bdca")
     assert lcs_length(x, y).length == 3
     assert lcs_reconstruct(x, y, backend="bisect").length == 3
-    assert lcs_length(x, y, position_lists=build_position_lists(y)).length == 3
 
 
 def _check_one_repeat(x: Sequence, y_list: list, src: int, at: int) -> None:
