@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification mismatch or failed self-check,
 2 usage or I/O error (output the stdout encoding cannot write included),
-3 resource cap exceeded.
+3 resource cap exceeded or out of memory.
 
 ``verify`` checks every length backend and both reconstruction kernels
 against the dense oracle (and runs the shadow checker on small inputs),
@@ -33,8 +33,6 @@ from .core import (
     KERNEL_NAMES,
     LENGTH_BACKENDS,
     STRUCTURES,
-    DpCapError,
-    ReconstructionCapError,
     _plan,
     dp_oracle,
     lcs_length,
@@ -233,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="memory_cap",
                        help="most matches R that reconstruction takes on, checked before "
                             "any work (exit 3 above it); within it the bisect trace holds "
-                            "2(R+1) list slots and the bitpar rows fewer than "
+                            "2(R+1) list slots (S and its occupants add 2(L+1)) and "
+                            "the bitpar rows fewer than "
                             f"{BITPAR_WORDS_PER_MATCH}R 64-bit words ({BITPAR_WORDS_PER_MATCH} "
                             "times the cap where verify names bitpar, else exit 3)")
 
@@ -276,8 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ReconstructionCapError, DpCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # the trace and dense-table caps, or a failed allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (OSError, UnicodeEncodeError) as exc:  # unreadable input, unencodable output
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,8 @@ position lists and R, and the choice), so ``lcs_length``,
 ``lcs_reconstruct`` and the CLI's ``stats`` see one index and one
 kernel.  Reconstruction runs that kernel's trace builder:
 ``_bisect_trace`` and ``_distinct_trace`` record each match's
-predecessor and column (O(R) space); ``_bitpar_trace`` keeps the rows
+predecessor and column (O(R) space), reading the predecessor from one
+occupant per slot of S; ``_bitpar_trace`` keeps the rows
 and walks back the L-column chain in at most m + n steps.  Where ``auto`` picks ``bitpar`` its rows
 hold fewer than ``BITPAR_WORDS_PER_MATCH * R`` 64-bit words, and by name
 at most that many times the cap, both known before the work starts.
@@ -350,17 +351,20 @@ def lcs_length(
 
 
 def _bisect_trace(
-    symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], n: int, r: int
+    symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], r: int
 ) -> tuple[TraceTable, int, int]:
     """Every match's record on the bisect kernel's slot rule; returns (trace, last match, L).
 
-    Pred(j) is the new occupant's left neighbour S[k-1], and the sentinel
-    S[0] = 0 maps to "no predecessor"; the last match holds S[L].
+    ``occ[k]`` is the match now in slot k of S: appended when S grows,
+    overwritten when the slot is replaced, 0 for the sentinel S[0].  A
+    column sits in one slot at most, and every later match with it lands
+    there, so Pred (the match holding S[k-1]) is ``occ[k-1]`` and the last
+    match is ``occ[-1]``.
     """
     trace = TraceTable(predecessor=[0] * (r + 1), column=[0] * (r + 1))
     pred_k = trace.predecessor
     col_k = trace.column
-    occ = [0] * (n + 1)  # occ[j]: the match number holding column j in S
+    occ = [0]
     m = 0
     s = [0]
     for sym in symbols:
@@ -369,42 +373,47 @@ def _bisect_trace(
             continue
         k = len(s)
         for j in positions:
+            m += 1
             if s[k - 1] >= j:
                 k = bisect_left(s, j, 1, k - 1)
                 s[k] = j
+                occ[k] = m
             elif k == len(s):
                 s.append(j)
+                occ.append(m)
             else:
                 s[k] = j
-            m += 1
-            pred_k[m] = occ[s[k - 1]]
+                occ[k] = m
+            pred_k[m] = occ[k - 1]
             col_k[m] = j
-            occ[j] = m
     trace.count = m
-    return trace, occ[s[-1]], len(s) - 1
+    return trace, occ[-1], len(s) - 1
 
 
-def _distinct_trace(cols: list[int | None], n: int) -> tuple[TraceTable, int, int]:
+def _distinct_trace(cols: list[int | None]) -> tuple[TraceTable, int, int]:
     """``_bisect_trace``'s records from a column map; returns (trace, last match, L).
 
-    Match number k is the k-th row that matches, so the column list is
-    the map without its ``None`` entries.
+    Match number m is the m-th row that matches, so the column list is
+    the map without its ``None`` entries; ``occ`` is the per-slot occupant
+    list of ``_bisect_trace``.
     """
     column = [0, *filter(None, cols)]
     pred_k = [0] * len(column)
-    occ = [0] * (n + 1)  # occ[j]: the match number holding column j in S
+    occ = [0]
     s = [0]
-    for m, j in enumerate(filter(None, cols), 1):
+    for m in range(1, len(column)):
+        j = column[m]
         if j > s[-1]:
-            pred_k[m] = occ[s[-1]]
+            pred_k[m] = occ[-1]
             s.append(j)
+            occ.append(m)
         else:
             k = bisect_left(s, j)
             s[k] = j
-            pred_k[m] = occ[s[k - 1]]
-        occ[j] = m
+            occ[k] = m
+            pred_k[m] = occ[k - 1]
     trace = TraceTable(predecessor=pred_k, column=column, count=len(column) - 1)
-    return trace, occ[s[-1]], len(s) - 1
+    return trace, occ[-1], len(s) - 1
 
 
 def _bitpar_trace(
@@ -490,9 +499,9 @@ def lcs_reconstruct(
     if backend == "bitpar" and words > BITPAR_WORDS_PER_MATCH * memory_cap:
         raise ReconstructionCapError(stats.r, memory_cap, words)
     if cols is not None:
-        trace, last, length = _distinct_trace(cols, stats.n)
+        trace, last, length = _distinct_trace(cols)
     elif backend == "bisect":
-        trace, last, length = _bisect_trace(x.symbols, lists, stats.n, stats.r)
+        trace, last, length = _bisect_trace(x.symbols, lists, stats.r)
     else:
         trace, last, length = _bitpar_trace(x.symbols, y.symbols, lists, stats.n)
     subseq = extract_lcs(trace, last, y)

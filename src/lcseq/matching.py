@@ -144,12 +144,7 @@ def build_position_lists(y: Sequence) -> PositionLists:
 
 def count_matches(x: Sequence, pl: PositionLists) -> MatchStats:
     """Number of matched pairs R, without enumerating them."""
-    lists = pl.lists
-    r = 0
-    for sym in x.symbols:
-        positions = lists.get(sym)
-        if positions is not None:
-            r += len(positions)
+    r = sum(map(len, filter(None, map(pl.lists.get, x.symbols))))
     return MatchStats(r=r, n=pl.length, m=len(x.symbols))
 
 

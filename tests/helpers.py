@@ -177,6 +177,17 @@ def run_cli_with_short_extract(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def run_cli_with_failed_allocation(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose reconstruction raises a bare ``MemoryError``."""
+    return _run_patched_cli(
+        "import lcseq.cli\n"
+        "def out_of_memory(*args, **kwargs):\n"
+        "    raise MemoryError\n"
+        "lcseq.cli.lcs_reconstruct = out_of_memory",
+        *args,
+    )
+
+
 def run_cli_with_failed_validation(*args: str) -> subprocess.CompletedProcess:
     """`lcseq <args>` in a subprocess whose CLI rejects every reconstructed LCS."""
     return _run_patched_cli(

@@ -14,9 +14,11 @@ import pytest
 import lcseq
 from lcseq.cli import build_parser
 from lcseq.core import BENCH_BACKENDS, LENGTH_BACKENDS
+from lcseq.threshold import ThresholdSet
 
 from helpers import (
     overcounting_kernel,
+    run_cli_with_failed_allocation,
     run_cli_with_failed_validation,
     run_cli_with_literal_guard,
     run_cli_with_overcounting_bitpar,
@@ -453,6 +455,15 @@ def test_negative_memory_cap_is_usage_error(tmp_path, kind, cap):
     assert run_cli(kind, fa, fb, "--memory-cap", "0").returncode == 0
 
 
+def test_out_of_memory_is_resource_error(tmp_path):
+    # a MemoryError other than the two cap errors, with no message
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = run_cli_with_failed_allocation("subseq", fa, fb)
+    assert proc.returncode == 3
+    assert proc.stderr == b"error: out of memory\n"
+    assert b"Traceback" not in proc.stderr
+
+
 def test_verify_memory_cap(tmp_path):
     fa, fb = write_pair(tmp_path, b"aaaa", b"aaaa")
     proc = run_cli("verify", fa, fb, "--memory-cap", "8")
@@ -657,6 +668,22 @@ def test_subseq_short_lcs_is_an_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: extracted 0 symbols")
     assert b"Traceback" not in proc.stderr
+
+
+def test_named_set_over_four_ops_per_match_is_an_error_line(tmp_path, monkeypatch, capsys):
+    update = ThresholdSet.update
+
+    def update_with_two_preds(self, x):
+        self.counters.pred += 2
+        return update(self, x)
+
+    monkeypatch.setattr(ThresholdSet, "update", update_with_two_preds)
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    assert lcseq.cli.main(["length", fa, fb, "--backend", "veb"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # R = 12 and L = 4: 12 succ, 12 insert, 8 delete and 24 pred
+    assert captured.err == "error: 56 structure operations for R = 12 exceeds 4R\n"
 
 
 def test_subseq_failed_validation_is_an_error_line(tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -283,7 +284,7 @@ def test_chain_geometry():
     for _ in range(40):
         x, y = rand_seq(rng, 50, 2), rand_seq(rng, 50, 2)
         pl = build_position_lists(y)
-        trace, _, _ = _bisect_trace(x.symbols, pl.lists, pl.length, count_matches(x, pl).r)
+        trace, _, _ = _bisect_trace(x.symbols, pl.lists, count_matches(x, pl).r)
         # matches are numbered row by row in enumeration order
         row = [0]
         for i, sym in enumerate(x.symbols, start=1):
@@ -294,6 +295,33 @@ def test_chain_geometry():
             if p:
                 assert trace.column[p] < trace.column[k]
                 assert row[p] < row[k]
+
+
+def test_bisect_trace_equals_column_keyed_reference():
+    # Hunt-Szymanski's back-pointer kept per column of y: the last match that
+    # took column S[k-1].  The sweep is the plain successor-replacement rule.
+    rng = random.Random(43)
+    for sigma in (1, 2, 3, 4, 26):
+        for _ in range(600):
+            x, y = rand_seq(rng, 40, sigma), rand_seq(rng, 40, sigma)
+            pl = build_position_lists(y)
+            s, last_by_column = [0], {0: 0}
+            predecessor, column = [0], [0]
+            for sym in x.symbols:
+                for j in pl.lists.get(sym, ()):
+                    k = bisect_left(s, j)
+                    if k == len(s):
+                        s.append(j)
+                    else:
+                        s[k] = j
+                    predecessor.append(last_by_column[s[k - 1]])
+                    column.append(j)
+                    last_by_column[j] = len(column) - 1
+            trace, last, length = _bisect_trace(x.symbols, pl.lists, count_matches(x, pl).r)
+            assert trace.predecessor == predecessor
+            assert trace.column == column
+            assert trace.count == len(column) - 1
+            assert (last, length) == (last_by_column[s[-1]], len(s) - 1)
 
 
 def _check_bitpar_chain(x, y):
@@ -606,8 +634,8 @@ def _check_distinct_path(x: Sequence, y: Sequence) -> None:
         assert (rec.length, rec.stats.r, rec.backend) == (expected, r, "bisect")
         assert validate_common_subsequence(rec.subsequence, x, y, expected)
     # the same records as the position-list trace, so the same LCS is printed
-    trace, last, length = _distinct_trace(cols, len(y))
-    ref, ref_last, ref_length = _bisect_trace(x.symbols, pl.lists, len(y), r)
+    trace, last, length = _distinct_trace(cols)
+    ref, ref_last, ref_length = _bisect_trace(x.symbols, pl.lists, r)
     assert (trace, last, length) == (ref, ref_last, ref_length)
 
 

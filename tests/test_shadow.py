@@ -96,6 +96,29 @@ def test_check_row_detects_corruption():
     assert exc.value.row == 1
 
 
+def test_check_row_detects_q_step_above_one():
+    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    # Q stays the prefix maximum of H, but steps by 2 at column 5
+    tracker.h[5] = 4
+    tracker.q[5:8] = [4, 4, 4]
+    with pytest.raises(InvariantViolation) as exc:
+        tracker.check_row(1, None)
+    assert (exc.value.what, exc.value.column, exc.value.actual) == ("Q step outside {0,1}", 5, 2)
+
+
+def test_check_row_detects_h_decrease():
+    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    with pytest.raises(InvariantViolation) as exc:
+        tracker.check_row(1, [0, 9, 0, 0, 0, 0, 0, 0])
+    assert (exc.value.what, exc.value.column) == ("H decreased across rows", 1)
+    assert (exc.value.expected, exc.value.actual) == (9, 0)
+
+
+def test_seed_q_of_wrong_length():
+    with pytest.raises(ValueError, match="seed Q must have length 7"):
+        ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2))
+
+
 def test_check_row_detects_set_divergence():
     tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
     tracker.ts.update(5)  # set moves, dense state does not
