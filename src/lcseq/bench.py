@@ -149,9 +149,9 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
             if backend == "dp_oracle":
                 name, length, c = backend, int(table[len(x.symbols)][len(y.symbols)]), OpCounters()
             else:
-                # `auto` is recorded under the name of the kernel it ran
+                # a record names the kernel `auto` ran; the L check keys by the name asked for
                 name, length, c = res.backend, res.length, res.counters
-            lengths[name] = length
+            lengths[backend] = length
             records.append(
                 BenchRecord(
                     case_id=case.case_id,

@@ -4,11 +4,11 @@ Exit codes: 0 success, 1 verification mismatch or failed self-check,
 2 usage or I/O error (output the stdout encoding cannot write included),
 3 resource cap exceeded or out of memory.
 
-``verify`` checks every length backend and both reconstruction kernels
-against the dense oracle (and runs the shadow checker on small inputs),
-but runs the counted sets (veb, tree, array) only while R <=
-``VERIFY_SETS_MAX_R``; above it, its ``ok:`` line (or a last stderr
-line after the ``FAIL:`` lines) names the skipped sets.
+``verify`` checks every length backend, and reconstruction under ``auto``
+and both kernels by name, against the dense oracle (and runs the shadow
+checker on small inputs), but runs the counted sets (veb, tree, array)
+only while R <= ``VERIFY_SETS_MAX_R``; above it, its ``ok:`` line (or a
+last stderr line after the ``FAIL:`` lines) names the skipped sets.
 
 ``length`` and ``subseq`` load only this module, ``core`` and
 ``matching``, and none of ``threshold``, ``dataclasses``, ``json`` or
@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
         lengths[backend] = lcs_length(x, y, backend=backend).length
     lengths["dp_oracle"] = oracle
     failures = []
-    for kernel in KERNEL_NAMES:
+    for kernel in ("auto", *KERNEL_NAMES):  # the names its length side runs
         try:
             recon = lcs_reconstruct(x, y, memory_cap=args.memory_cap, backend=kernel)
         except RuntimeError as exc:

@@ -16,12 +16,12 @@ from R (which ``count_matches`` gives before any work), m and n:
   R is.  It wins where rows have many matches (small alphabets).
 
 When every token of y is distinct, each row has at most one match, and
-``bisect`` needs no position lists: ``column_map`` gives each row's
-column from one dict built in C, R is the count of rows that have one,
-and the sweep is the single-match slot rule (Hunt and Szymanski 1977
-reduce to a longest increasing subsequence of the columns).  ``auto``
-picks ``bisect`` there anyway, since R <= m.  ``column_map`` rules the
-path out in O(1) when y repeats a token early.
+``auto`` needs no position lists: ``column_map`` gives the matched rows'
+columns from one dict built in C, R is their count, and the sweep is the
+single-match slot rule (Hunt and Szymanski 1977 reduce to a longest
+increasing subsequence of the columns), reported as ``bisect``, the
+rule's pick since R <= m.  ``bisect`` by name runs the position-list
+kernel.  ``column_map`` rules the path out in O(1) when y repeats early.
 
 A named backend (``BACKEND_NAMES``: ``veb``, ``tree``, ``array``) runs
 the counted ``ThresholdSet`` that ``lcseq.threshold`` builds, imported
@@ -275,14 +275,14 @@ def _kernel_counters(r: int, length: int) -> OpCounters:
     return OpCounters(succ=r, insert=r, delete=r - length, update=r)
 
 
-def _distinct_rows(cols: list[int | None]) -> int:
-    """LCS length from a column map: the single-match slot rule over the rows that match.
+def _distinct_rows(cols: list[int]) -> int:
+    """LCS length from a column map: the single-match slot rule over the matched rows.
 
-    Each row has one column j: it is appended when j > S[-1], and
+    Each matched row has one column j: it is appended when j > S[-1], and
     otherwise replaces S[bisect_left(S, j)].  S[0] is a 0 sentinel.
     """
     s = [0]
-    for j in filter(None, cols):
+    for j in cols:
         if j > s[-1]:
             s.append(j)
         else:
@@ -292,20 +292,19 @@ def _distinct_rows(cols: list[int | None]) -> int:
 
 def _plan(
     x: Sequence, y: Sequence, backend: str
-) -> tuple[str, MatchStats, list[int | None] | None, dict[Hashable, list[int]] | None]:
+) -> tuple[str, MatchStats, list[int] | None, dict[Hashable, list[int]] | None]:
     """Everything before a kernel runs; returns (backend, stats, cols, lists).
 
     The one place in the package that builds an index for a kernel and
-    counts R.  Under ``auto`` and ``bisect``, a y of distinct tokens gives
-    its ``column_map`` as cols, the backend ``bisect`` and no lists.
-    Otherwise cols is ``None``, lists are y's position lists, R comes from
-    ``count_matches``, and ``auto`` resolves to a kernel by ``_choose_kernel``.
+    counts R.  Under ``auto`` alone, a y of distinct tokens gives its
+    ``column_map`` as cols (R = len(cols)), the backend ``bisect`` and no
+    lists.  Otherwise cols is ``None``, lists are y's position lists, R
+    comes from ``count_matches``, and ``auto`` picks by ``_choose_kernel``.
     """
-    if backend == "auto" or backend == "bisect":
+    if backend == "auto":
         cols = column_map(x, y)
         if cols is not None:
-            m = len(x)
-            return "bisect", MatchStats(r=m - cols.count(None), n=len(y), m=m), cols, None
+            return "bisect", MatchStats(r=len(cols), n=len(y), m=len(x)), cols, None
     pl = build_position_lists(y)
     stats = count_matches(x, pl)
     if backend == "auto":
@@ -390,14 +389,13 @@ def _bisect_trace(
     return trace, occ[-1], len(s) - 1
 
 
-def _distinct_trace(cols: list[int | None]) -> tuple[TraceTable, int, int]:
+def _distinct_trace(cols: list[int]) -> tuple[TraceTable, int, int]:
     """``_bisect_trace``'s records from a column map; returns (trace, last match, L).
 
-    Match number m is the m-th row that matches, so the column list is
-    the map without its ``None`` entries; ``occ`` is the per-slot occupant
-    list of ``_bisect_trace``.
+    Match number m is the m-th row that matches, so column[m] is
+    cols[m - 1]; ``occ`` is the per-slot occupant list of ``_bisect_trace``.
     """
-    column = [0, *filter(None, cols)]
+    column = [0, *cols]
     pred_k = [0] * len(column)
     occ = [0]
     s = [0]

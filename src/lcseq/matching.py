@@ -148,12 +148,12 @@ def count_matches(x: Sequence, pl: PositionLists) -> MatchStats:
     return MatchStats(r=r, n=pl.length, m=len(x.symbols))
 
 
-def column_map(x: Sequence, y: Sequence) -> list[int | None] | None:
-    """Per token of x, its 1-based column in y (``None`` if absent), when y's tokens are distinct.
+def column_map(x: Sequence, y: Sequence) -> list[int] | None:
+    """The 1-based column in y of each token of x that y has, when y's tokens are distinct.
 
     Returns ``None`` when some token of y repeats.  A repeat among the
     first ``DISTINCT_PREFIX`` tokens rules the map out before it is built.
-    On the map, R is ``len(x) - cols.count(None)``.
+    A token of x that y lacks has no entry, so R is ``len(cols)``.
     """
     ys = y.symbols
     n = len(ys)
@@ -162,4 +162,4 @@ def column_map(x: Sequence, y: Sequence) -> list[int | None] | None:
     last = dict(zip(ys, range(1, n + 1)))
     if len(last) != n:
         return None
-    return list(map(last.get, x.symbols))
+    return list(filter(None, map(last.get, x.symbols)))

@@ -39,7 +39,7 @@ def brute_force_matches(x: Sequence, y: Sequence) -> list[tuple[int, int]]:
 
 
 class SortedSetOracle:
-    """Reference for the vEB tree: plain sorted list."""
+    """Reference for the vEB and AVL trees: plain sorted list."""
 
     def __init__(self):
         self.items: list[int] = []

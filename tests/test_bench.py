@@ -48,6 +48,10 @@ def test_gen_sequence_validation():
         bench.gen_sequence(8, 2, 1, "sawtooth")
     with pytest.raises(ValueError):
         bench.BenchCase("c", 8, 8, 2, 1, structure="sawtooth")
+    with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+        bench.BenchCase("c", 8, 8, 2, 1, backends=("bogus",))
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        bench.run_bench([], repeats=0)
 
 
 def test_near_identical_has_long_lcs():

@@ -17,6 +17,7 @@ from lcseq.core import BENCH_BACKENDS, LENGTH_BACKENDS
 from lcseq.threshold import ThresholdSet
 
 from helpers import (
+    _run_patched_cli,
     overcounting_kernel,
     run_cli_with_failed_allocation,
     run_cli_with_failed_validation,
@@ -517,6 +518,90 @@ def test_verify_checks_bitpar_kernel(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+def _distinct_lines_pair(tmp_path):
+    """300 unique lines and a copy that drops about 5% of them and adds three; returns L too."""
+    rng = random.Random(300)
+    a = [b"line %d" % i for i in range(300)]
+    b = [line for line in a if rng.random() >= 0.05]
+    length = len(b)
+    for k in range(3):
+        b.insert(rng.randrange(len(b) + 1), b"added %d" % k)
+    return (*write_pair(tmp_path, b"\n".join(a) + b"\n", b"\n".join(b) + b"\n"), length)
+
+
+def test_verify_checks_the_position_list_kernel_on_distinct_y(tmp_path):
+    # `auto` takes the column map here; `bisect` by name still runs _threshold_rows
+    fa, fb, length = _distinct_lines_pair(tmp_path)
+    assert run_cli("verify", fa, fb, "--mode", "lines").stdout == (
+        b"ok: all backends agree, L = %d\n" % length)
+    proc = run_cli_with_overcounting_kernel("verify", fa, fb, "--mode", "lines")
+    assert proc.returncode == 1
+    assert b"length disagreement" in proc.stderr
+    assert b"'bisect': %d" % (length + 1) in proc.stderr
+    assert b"'auto': %d" % length in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+def _last_match_zero(build):
+    def wrong(*args):
+        trace, _, length = build(*args)
+        return trace, 0, length
+
+    return wrong
+
+
+@pytest.mark.parametrize("name, wrap, failure", [
+    ("_distinct_rows", lambda rows: lambda cols: rows(cols) + 1,
+     "FAIL: length disagreement: {'auto': %(over)d, "),
+    ("_bisect_trace", _last_match_zero,
+     "FAIL: reconstruction[bisect]: extracted 0 symbols for L = %(length)d\n"),
+    ("_distinct_trace", _last_match_zero,
+     "FAIL: reconstruction[auto]: extracted 0 symbols for L = %(length)d\n"),
+], ids=["_distinct_rows", "_bisect_trace", "_distinct_trace"])
+def test_verify_catches_each_bisect_family_loop_on_distinct_y(
+        tmp_path, monkeypatch, capsys, name, wrap, failure):
+    fa, fb, length = _distinct_lines_pair(tmp_path)
+    monkeypatch.setattr(lcseq.core, name, wrap(getattr(lcseq.core, name)))
+    assert lcseq.cli.main(["verify", fa, fb, "--mode", "lines"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(failure % {"over": length + 1, "length": length})
+    assert err.count("FAIL: ") == 1
+
+
+def test_verify_short_extract_fails_each_reconstruction(tmp_path):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = run_cli_with_short_extract("verify", fa, fb)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == [
+        f"FAIL: reconstruction[{k}]: extracted 0 symbols for L = 4"
+        for k in ("auto", "bisect", "bitpar")
+    ]
+
+
+def test_verify_failed_validation_fails_each_reconstruction(tmp_path):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = run_cli_with_failed_validation("verify", fa, fb)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == [
+        f"FAIL: reconstruction[{k}]: subsequence failed the structural check"
+        for k in ("auto", "bisect", "bitpar")
+    ]
+
+
+def test_verify_reports_a_shadow_violation(tmp_path):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = _run_patched_cli(
+        "import lcseq.shadow\n"
+        "def violate(self, row, prev_h):\n"
+        "    raise lcseq.shadow.InvariantViolation('H decreased across rows', row, 1, 1, 0)\n"
+        "lcseq.shadow.ShadowTracker.check_row = violate",
+        "verify", fa, fb,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (b"FAIL: shadow invariant violation: H decreased across rows "
+                           b"at row 1, column 1: expected 1, got 0\n")
+
+
 def test_verify_above_dense_cap_fails_before_any_backend(tmp_path):
     # a dense pair: the named sets alone would run for minutes before the oracle
     rng = random.Random(8192)
@@ -660,6 +745,19 @@ def test_bench_disagreement_is_an_error_line():
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: ") and b"disagree" in proc.stderr
     assert b"Traceback" not in proc.stderr
+
+
+def test_bench_checks_auto_under_the_name_asked_for():
+    # `auto` takes the column map on these distinct-y cases and `bisect` the
+    # position lists; keyed by the reported name, one L would overwrite the other
+    proc = _run_patched_cli(
+        "import lcseq.core\n"
+        "rows = lcseq.core._distinct_rows\n"
+        "lcseq.core._distinct_rows = lambda cols: rows(cols) + 1",
+        "bench", "--n", "16", "--sigma", "1000", "--repeats", "1", "--backend", "auto,bisect",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: case case0: backends disagree on L: {'auto': 1, 'bisect': 0}\n"
 
 
 def test_subseq_short_lcs_is_an_error_line(tmp_path):

@@ -661,11 +661,18 @@ def test_distinct_y_builds_no_position_lists(monkeypatch):
     def refuse(*args):
         raise AssertionError("the distinct-y path built position lists")
 
+    x, y = from_text("abcbdab"), from_text("bdca")
+    # `bisect` by name is the position-list kernel, whatever y is
+    built = []
+    monkeypatch.setattr(core, "build_position_lists",
+                        lambda seq: built.append(seq) or build_position_lists(seq))
+    assert lcs_length(x, y, backend="bisect").length == 3
+    assert lcs_reconstruct(x, y, backend="bisect").length == 3
+    assert built == [y, y]
     monkeypatch.setattr(core, "build_position_lists", refuse)
     monkeypatch.setattr(core, "count_matches", refuse)
-    x, y = from_text("abcbdab"), from_text("bdca")
     assert lcs_length(x, y).length == 3
-    assert lcs_reconstruct(x, y, backend="bisect").length == 3
+    assert lcs_reconstruct(x, y).length == 3
 
 
 def _check_one_repeat(x: Sequence, y_list: list, src: int, at: int) -> None:
