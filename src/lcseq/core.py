@@ -2,7 +2,7 @@
 
 The length driver walks the first sequence row by row.  The default
 (``auto``) runs one of two stdlib kernels, picked by ``_choose_kernel``
-from R (which ``count_matches`` gives before any work), m and n:
+from R (which ``_plan`` counts before any work), m and n:
 
 * ``bisect`` (``_threshold_rows``), the Hunt-Szymanski kernel.  It feeds
   each row's match columns, in strictly decreasing order, to a threshold
@@ -10,9 +10,9 @@ from R (which ``count_matches`` gives before any work), m and n:
   ``bisect_left``, so the run is O(R log L + n).  It wins where rows have
   few matches (diff-like inputs, R close to m).
 * ``bitpar`` (``_bitpar_rows``), the bit-parallel row update of Allison
-  and Dix (1986) and Hyyro (2004).  Bit j-1 of an n-bit int V is 0 where
-  the DP row steps up at column j; one add/and/or/sub per row of x
-  updates it, so the run is O(m * ceil(n/64)) word operations whatever
+  and Dix (1986) in Hyyro's (2004) form.  Bit j-1 of V is 0 where the DP
+  row steps up at column j; two ands, an add and an or per row of x
+  update it, so the run is O(m * ceil(n/64)) word operations whatever
   R is.  It wins where rows have many matches (small alphabets).
 
 When every token of y is distinct, each row has at most one match, and
@@ -30,9 +30,14 @@ only then; those are the paper's structures and the references the tests audit.
 derives its index from (x, y) and checks its arguments before building it.
 
 ``_plan`` does all the work before a kernel (the column map, or the
-position lists and R, and the choice), so ``lcs_length``,
-``lcs_reconstruct`` and the CLI's ``stats`` see one index and one
-kernel.  Reconstruction runs that kernel's trace builder:
+position lists and R, the choice, and the chosen kernel's index), so
+``lcs_length``, ``lcs_reconstruct`` and the CLI's ``stats`` see one
+index and one kernel.  When x and y are both ``bytes`` (bytes mode),
+``auto`` and ``bitpar`` build y's masks first, from its eight bit planes
+in C (``_byte_masks``), count R from their popcounts, and build position
+lists only if the choice is ``bisect``.
+
+Reconstruction runs that kernel's trace builder:
 ``_bisect_trace`` and ``_distinct_trace`` record each match's
 predecessor and column (O(R) space), reading the predecessor from one
 occupant per slot of S; ``_bitpar_trace`` keeps the rows
@@ -253,17 +258,54 @@ def _symbol_masks(
     return masks
 
 
-def _bitpar_rows(symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], n: int) -> int:
-    """LCS length by the bit-parallel row update; L is the count of 0 bits in V."""
-    masks = _symbol_masks(symbols, lists)
+# _PLANES[b] maps each byte to b"1" where its bit b is set and to b"0" elsewhere:
+# runs of 2^b zeros and 2^b ones
+_PLANES = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def _byte_masks(ys: bytes) -> dict[int, int]:
+    """``_symbol_masks`` for every byte of y, from y's eight bit planes.
+
+    Plane b has bit j-1 set where y_j has bit b set: one ``translate`` and
+    one ``int(..., 2)``, both in C.  Splitting the mask of all n columns by
+    plane 7, each part by plane 6, and so on down to plane 0, dropping
+    empty parts, leaves one mask per byte that y holds, keyed by the bits
+    of the planes it took: at most 2 * 256 ANDs per plane.
+    """
+    if not ys:
+        return {}
+    full = (1 << len(ys)) - 1
+    rev = ys[::-1]  # int() reads the last column first
+    masks = {0: full}
+    for b in range(7, -1, -1):
+        plane = int(rev.translate(_PLANES[b]), 2)
+        rest = full ^ plane
+        bit = 1 << b
+        split = {}
+        for key, mask in masks.items():
+            if one := mask & plane:
+                split[key | bit] = one
+            if zero := mask & rest:
+                split[key] = zero
+        masks = split
+    return masks
+
+
+def _bitpar_rows(symbols: tuple[Hashable, ...] | bytes, masks: dict[Hashable, int], n: int) -> int:
+    """LCS length by the bit-parallel row update; L is the count of 0 bits of V below bit n.
+
+    V' = (V + (V & M)) | (V & ~M), with ~M the complement of M within the
+    n columns.  Nothing clears V's bits from bit n up: they count the
+    carries out of bit n-1, at most one per row, and no mask reaches them.
+    """
     full = (1 << n) - 1
+    rest = {sym: full ^ mask for sym, mask in masks.items()}
     v = full
     for sym in symbols:
         mask = masks.get(sym)
         if mask is not None:
-            u = v & mask
-            v = ((v + u) | (v - u)) & full
-    return n - v.bit_count()
+            v = (v + (v & mask)) | (v & rest[sym])
+    return n - (v & full).bit_count()
 
 
 def _kernel_counters(r: int, length: int) -> OpCounters:
@@ -290,26 +332,65 @@ def _distinct_rows(cols: list[int]) -> int:
     return len(s) - 1
 
 
+def _check_cap(backend: str, stats: MatchStats, memory_cap: int) -> None:
+    """Raise ``ReconstructionCapError`` when the trace of ``backend`` would exceed the cap."""
+    if stats.r > memory_cap:
+        raise ReconstructionCapError(stats.r, memory_cap)
+    words = min(stats.m, stats.r) * ((stats.n + 63) // 64)
+    if backend == "bitpar" and words > BITPAR_WORDS_PER_MATCH * memory_cap:
+        raise ReconstructionCapError(stats.r, memory_cap, words)
+
+
 def _plan(
-    x: Sequence, y: Sequence, backend: str
-) -> tuple[str, MatchStats, list[int] | None, dict[Hashable, list[int]] | None]:
-    """Everything before a kernel runs; returns (backend, stats, cols, lists).
+    x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None
+) -> tuple[str, MatchStats, list[int] | None, dict[Hashable, list[int] | int] | None]:
+    """Everything before a kernel runs; returns (backend, stats, cols, index).
 
     The one place in the package that builds an index for a kernel and
     counts R.  Under ``auto`` alone, a y of distinct tokens gives its
     ``column_map`` as cols (R = len(cols)), the backend ``bisect`` and no
-    lists.  Otherwise cols is ``None``, lists are y's position lists, R
-    comes from ``count_matches``, and ``auto`` picks by ``_choose_kernel``.
+    index.  Otherwise cols is ``None`` and ``auto`` picks by
+    ``_choose_kernel``.  index is y's masks for ``bitpar`` and its
+    position lists for every other kernel.  When x and y are both
+    ``bytes``, ``auto`` and ``bitpar`` build the masks by ``_byte_masks``
+    and R from their popcounts, and ``bisect`` then builds the lists;
+    elsewhere the lists and ``count_matches`` come first, and ``bitpar``
+    builds the masks from the lists.  Given ``memory_cap``, the trace's
+    cap is checked once R and the kernel are known, before any other
+    index is built.
     """
+    xs = x.symbols
+    ys = y.symbols
     if backend == "auto":
         cols = column_map(x, y)
         if cols is not None:
-            return "bisect", MatchStats(r=len(cols), n=len(y), m=len(x)), cols, None
-    pl = build_position_lists(y)
-    stats = count_matches(x, pl)
+            stats = MatchStats(r=len(cols), n=len(ys), m=len(xs))
+            if memory_cap is not None:
+                _check_cap("bisect", stats, memory_cap)
+            return "bisect", stats, cols, None
+    if backend in ("auto", "bitpar") and type(xs) is bytes and type(ys) is bytes:
+        masks = _byte_masks(ys)
+        counts = [0] * 256
+        for sym, mask in masks.items():
+            counts[sym] = mask.bit_count()
+        stats = MatchStats(r=sum(map(counts.__getitem__, xs)), n=len(ys), m=len(xs))
+        lists = None
+    else:
+        pl = build_position_lists(y)
+        stats = count_matches(x, pl)
+        lists = pl.lists
+        masks = None
     if backend == "auto":
         backend = _choose_kernel(stats.r, stats.m, stats.n)
-    return backend, stats, None, pl.lists
+    if memory_cap is not None:
+        _check_cap(backend, stats, memory_cap)
+    if backend == "bitpar":
+        if masks is None:
+            masks = _symbol_masks(xs, lists)
+        return backend, stats, None, masks
+    if lists is None:
+        lists = build_position_lists(y).lists
+    return backend, stats, None, lists
 
 
 def lcs_length(
@@ -326,19 +407,19 @@ def lcs_length(
     """
     if backend not in LENGTH_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {LENGTH_BACKENDS}")
-    backend, stats, cols, lists = _plan(x, y, backend)
+    backend, stats, cols, index = _plan(x, y, backend)
     if cols is not None:
         length = _distinct_rows(cols)
     elif backend == "bisect":
-        length = len(_threshold_rows(x.symbols, lists)) - 1
+        length = len(_threshold_rows(x.symbols, index)) - 1
     elif backend == "bitpar":
-        length = _bitpar_rows(x.symbols, lists, stats.n)
+        length = _bitpar_rows(x.symbols, index, stats.n)
     else:
         from .threshold import make_threshold_set  # imported here: only a named set loads it
 
         ts = make_threshold_set(max(stats.n, 1), backend)
         for sym in x.symbols:
-            positions = lists.get(sym)
+            positions = index.get(sym)
             if not positions:
                 continue
             ts.begin_row()
@@ -415,15 +496,17 @@ def _distinct_trace(cols: list[int]) -> tuple[TraceTable, int, int]:
 
 
 def _bitpar_trace(
-    symbols: tuple[Hashable, ...],
-    ys: tuple[Hashable, ...],
-    lists: dict[Hashable, list[int]],
+    symbols: tuple[Hashable, ...] | bytes,
+    ys: tuple[Hashable, ...] | bytes,
+    masks: dict[Hashable, int],
     n: int,
 ) -> tuple[TraceTable, int, int]:
     """The LCS chain from the stored bitpar rows; returns (trace, last match, L).
 
-    With V_i the row after x_i, the DP value D[i][j] is j minus the 1 bits
-    of V_i below bit j; bit j-1 is 1 exactly where D[i][j-1] = D[i][j].
+    The rows are ``_bitpar_rows``'s.  With V_i the row after x_i, the DP
+    value D[i][j] is j minus the 1 bits of V_i below bit j; bit j-1 is 1
+    exactly where D[i][j-1] = D[i][j].  The walk reads no bit from n up,
+    where V_i counts carries.
     The walk starts at (m, n) with k = L and keeps D[i][j] = k by three
     rules:
 
@@ -441,18 +524,17 @@ def _bitpar_trace(
     So the walk reads only V_i, one bit per step and one bit length per
     left jump, and does no popcount.
     """
-    masks = _symbol_masks(symbols, lists)
     full = (1 << n) - 1
+    rest = {sym: full ^ mask for sym, mask in masks.items()}
     v = full
     rows = [v]
     append = rows.append
     for sym in symbols:
         mask = masks.get(sym)
         if mask is not None:
-            u = v & mask
-            v = ((v + u) | (v - u)) & full
+            v = (v + (v & mask)) | (v & rest[sym])
         append(v)
-    length = n - v.bit_count()
+    length = n - (v & full).bit_count()
     cols = [0] * (length + 1)
     k = length
     i = len(symbols)
@@ -482,26 +564,23 @@ def lcs_reconstruct(
     The index, R and the kernel come from x and y by ``lcs_length``'s planner.
     Raises ``ValueError`` for a negative ``memory_cap`` or a backend other than
     ``auto``, ``bisect`` and ``bitpar``, before any index is built, and
-    ``ReconstructionCapError`` before any kernel work when R exceeds the cap, or when
+    ``ReconstructionCapError`` before any row is built when R exceeds the cap, or when
     ``bitpar`` by name would keep over ``BITPAR_WORDS_PER_MATCH * memory_cap`` row words
     (min(m, R) * ceil(n/64): rows without a match share one; ``auto`` never does).
+    The planner checks the cap once it knows R, so the masks of a bytes pair
+    (at most 256 ints of n bits) come before the check, and no row does.
     """
     if memory_cap < 0:
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")
     if backend != "auto" and backend not in KERNEL_NAMES:
         raise ValueError(f"unknown backend {backend!r}; expected auto or one of {KERNEL_NAMES}")
-    backend, stats, cols, lists = _plan(x, y, backend)
-    if stats.r > memory_cap:
-        raise ReconstructionCapError(stats.r, memory_cap)
-    words = min(stats.m, stats.r) * ((stats.n + 63) // 64)
-    if backend == "bitpar" and words > BITPAR_WORDS_PER_MATCH * memory_cap:
-        raise ReconstructionCapError(stats.r, memory_cap, words)
+    backend, stats, cols, index = _plan(x, y, backend, memory_cap)
     if cols is not None:
         trace, last, length = _distinct_trace(cols)
     elif backend == "bisect":
-        trace, last, length = _bisect_trace(x.symbols, lists, stats.r)
+        trace, last, length = _bisect_trace(x.symbols, index, stats.r)
     else:
-        trace, last, length = _bitpar_trace(x.symbols, y.symbols, lists, stats.n)
+        trace, last, length = _bitpar_trace(x.symbols, y.symbols, index, stats.n)
     subseq = extract_lcs(trace, last, y)
     if len(subseq) != length:
         raise RuntimeError(f"extracted {len(subseq)} symbols for L = {length}")
@@ -532,14 +611,15 @@ def extract_lcs(trace: TraceTable, k: int, y: Sequence) -> tuple[Hashable, ...]:
 def dp_oracle(x: Sequence, y: Sequence) -> np.ndarray:
     """Dense (m+1) x (n+1) Wagner-Fischer length table.
 
-    Tokens are mapped to dense ints first, so any hashable tokens work.
+    Tokens are mapped to dense ints first, so any hashable tokens work,
+    and one side may be ``bytes`` and the other a tuple.
     """
     m, n = len(x.symbols), len(y.symbols)
     check_dp_cap(m, n)
     # imported here so that only the oracle pays numpy's import time
     import numpy as np
 
-    ids = {t: k for k, t in enumerate(dict.fromkeys(x.symbols + y.symbols))}
+    ids = {t: k for k, t in enumerate(dict.fromkeys((*x.symbols, *y.symbols)))}
     ys = np.fromiter(map(ids.__getitem__, y.symbols), dtype=np.int64, count=n)
     table = np.zeros((m + 1, n + 1), dtype=np.int32)
     for i in range(1, m + 1):

@@ -6,6 +6,8 @@ decreasing order, and each row of the (virtual) match matrix is
 enumerated by looking up the row's symbol.  When every token of the
 second sequence is distinct, each row has at most one match, and
 ``column_map`` gives all of them at once from one dict built in C.
+bytes mode keeps the input as a ``bytes`` object, so that the planner in
+``core`` can build the bit-parallel kernel's masks from it in C.
 
 The records here and in ``core`` are ``__slots__`` classes on
 ``_Record``, so the default path imports no ``dataclasses``.
@@ -75,16 +77,19 @@ class _FrozenRecord(_Record):
 
 
 class Sequence(_FrozenRecord):
-    """Tokenized input: a tuple of hashable tokens.
+    """Tokenized input: a tuple of hashable tokens, or a ``bytes``.
 
     Tokens are compared only for equality and used as dict keys; they are
-    not dense ids.  bytes mode gives ints 0..255, lines mode the lines
-    themselves, and the library takes any hashable tokens.
+    not dense ids.  bytes mode gives a ``bytes``, whose tokens are its
+    ints 0..255; lines mode gives a tuple of the lines themselves, and the
+    library takes any hashable tokens.  Sequences compare by their
+    ``symbols``, so ``Sequence(b"ab") != Sequence((97, 98))`` although the
+    two have the same tokens and the same LCS with any other sequence.
     """
 
     __slots__ = ("symbols",)
 
-    def __init__(self, symbols: tuple[Hashable, ...]):
+    def __init__(self, symbols: tuple[Hashable, ...] | bytes):
         object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
@@ -101,13 +106,13 @@ class SymbolTable:
 def tokenize(raw: bytes, mode: str, table: SymbolTable | None = None) -> Sequence:
     """Turn raw bytes into a Sequence.
 
-    bytes mode maps each byte to its value; lines mode makes each line,
-    without its line ending (``bytes.splitlines``), its own token, so
-    equal lines in two inputs are equal tokens.  ``table`` is accepted
-    for older callers and unused.
+    bytes mode keeps the bytes, each token being a byte's value; lines mode
+    makes each line, without its line ending (``bytes.splitlines``), its
+    own token, so equal lines in two inputs are equal tokens.  ``table``
+    is accepted for older callers and unused.
     """
     if mode == "bytes":
-        return Sequence(tuple(raw))
+        return Sequence(bytes(raw))
     if mode == "lines":
         return Sequence(tuple(raw.splitlines()))
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -18,8 +18,10 @@ from lcseq.core import (
     TraceTable,
     _bisect_trace,
     _bitpar_trace,
+    _byte_masks,
     _choose_kernel,
     _distinct_trace,
+    _symbol_masks,
     _threshold_rows,
     dp_oracle,
     extract_lcs,
@@ -88,16 +90,23 @@ def test_bitpar_row_memory_bound():
     assert picked > 1000
     # and the builder stores what the bound counts: m + 1 rows and at most
     # sigma masks of n bits each (CPython: 4 bytes per 30-bit digit plus a
-    # header), a few temporaries, and the O(L) chain
-    for sigma, m, n in ((2, 1500, 2000), (4, 2000, 1500), (26, 2000, 2000)):
-        x = Sequence(tuple(rng.randrange(sigma) for _ in range(m)))
-        y = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
+    # header), a few temporaries, and the O(L) chain; a bytes pair builds its
+    # masks from bit planes, and its rows carry into the bits above n
+    for kind, sigma, m, n in ((tuple, 2, 1500, 2000), (tuple, 4, 2000, 1500),
+                              (tuple, 26, 2000, 2000), (bytes, 4, 2000, 1500),
+                              (bytes, 256, 2000, 2000)):
+        x = Sequence(kind(rng.randrange(sigma) for _ in range(m)))
+        y = Sequence(kind(rng.randrange(sigma) for _ in range(n)))
         pl = build_position_lists(y)
         r = count_matches(x, pl).r
         assert _choose_kernel(r, m, n) == "bitpar"
         tracemalloc.start()
         try:
-            _bitpar_trace(x.symbols, y.symbols, pl.lists, n)
+            if kind is bytes:
+                masks = _byte_masks(y.symbols)
+            else:
+                masks = _symbol_masks(x.symbols, pl.lists)
+            _bitpar_trace(x.symbols, y.symbols, masks, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,7 +336,8 @@ def test_bisect_trace_equals_column_keyed_reference():
 def _check_bitpar_chain(x, y):
     pl = build_position_lists(y)
     expected = int(dp_oracle(x, y)[len(x)][len(y)])
-    trace, last, length = _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
+    masks = _symbol_masks(x.symbols, pl.lists)
+    trace, last, length = _bitpar_trace(x.symbols, y.symbols, masks, pl.length)
     assert trace.count == last == length == expected
     assert trace.predecessor == [0, *range(length)]
     cols = trace.column[1:]
@@ -415,7 +425,8 @@ def test_bitpar_walk_identical_is_diagonal(n):
     for sigma in (1, 4, 256):
         x = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
         pl = build_position_lists(x)
-        trace, last, length = _bitpar_trace(x.symbols, x.symbols, pl.lists, n)
+        masks = _symbol_masks(x.symbols, pl.lists)
+        trace, last, length = _bitpar_trace(x.symbols, x.symbols, masks, n)
         assert trace.column == list(range(n + 1)) and last == length == n
 
 
@@ -439,7 +450,7 @@ def test_bitpar_walk_identical_is_diagonal(n):
 def test_bitpar_walk_examples(a, b, chain):
     x, y = from_text(a), from_text(b)
     pl = build_position_lists(y)
-    trace, _, _ = _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
+    trace, _, _ = _bitpar_trace(x.symbols, y.symbols, _symbol_masks(x.symbols, pl.lists), pl.length)
     assert trace.column[1:] == chain
 
 
@@ -463,7 +474,8 @@ def test_bitpar_walk_steps_are_linear():
         old = sys.gettrace()
         sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
         try:
-            return _bitpar_trace(x.symbols, y.symbols, pl.lists, pl.length)
+            masks = _symbol_masks(x.symbols, pl.lists)
+            return _bitpar_trace(x.symbols, y.symbols, masks, pl.length)
         finally:
             sys.settrace(old)
 
@@ -581,6 +593,17 @@ def test_named_bitpar_reconstruction_keeps_the_cap_bound(monkeypatch):
     monkeypatch.setattr(core, "_symbol_masks", None)
     with pytest.raises(ReconstructionCapError, match="262144 bitpar row words") as exc:
         lcs_reconstruct(x, x, memory_cap=4096, backend="bitpar")
+    assert (exc.value.r, exc.value.cap) == (4096, 4096)
+
+
+def test_named_bitpar_reconstruction_keeps_the_cap_bound_on_bytes(monkeypatch):
+    # R = 4096 is within the cap, but bitpar by name would keep 4096 rows of
+    # 64 words, over 21 * 4096; the planner builds y's masks and no row
+    x, y = from_text("a" * 4096), from_text("b" * 4095 + "a")
+    assert lcs_reconstruct(x, y, memory_cap=4096).backend == "bisect"
+    monkeypatch.setattr(core, "_bitpar_trace", None)
+    with pytest.raises(ReconstructionCapError, match="262144 bitpar row words") as exc:
+        lcs_reconstruct(x, y, memory_cap=4096, backend="bitpar")
     assert (exc.value.r, exc.value.cap) == (4096, 4096)
 
 

@@ -17,7 +17,8 @@ from helpers import brute_force_matches, from_text
 
 def test_tokenize_bytes():
     seq = tokenize(b"aba", "bytes")
-    assert seq.symbols == (97, 98, 97)
+    assert seq.symbols == b"aba"
+    assert list(seq.symbols) == [97, 98, 97]
     assert len(seq) == 3
 
 
