@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, fields
 
-from .core import (BACKEND_NAMES, BENCH_BACKENDS, STRUCTURES, OpCounters, _plan,
+from .core import (BACKEND_NAMES, BENCH_BACKENDS, STRUCTURES, OpCounters, _count,
                    check_dp_cap, dp_oracle, lcs_length)
 from .matching import Sequence
 
@@ -120,8 +120,11 @@ def gen_pair(case: BenchCase) -> tuple[Sequence, Sequence]:
 def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
     """Run every enabled backend per case; min-of-repeats timing.
 
-    R comes from the planner that ``lcs_length`` runs, and each timed call
-    builds its own index, so ``time_ns`` covers the whole call.
+    Each row reports the R of its own call, and a ``dp_oracle`` row the
+    count step's (``_count`` under ``auto``, which builds no kernel's
+    index).  Each timed call builds its own index, so ``time_ns`` covers
+    the whole call.  Backends that differ on L or on R raise
+    ``BenchDisagreement``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -133,8 +136,9 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
     records: list[BenchRecord] = []
     for case in cases:
         x, y = gen_pair(case)
-        r = _plan(x, y, "auto")[1].r
+        counted = _count(x, y, "auto")[1].r
         lengths: dict[str, int] = {}
+        counts: dict[str, int] = {}
         for backend in case.backends:
             best_ns = None
             for _ in range(repeats):
@@ -147,11 +151,13 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
                 if best_ns is None or wall < best_ns:
                     best_ns = wall
             if backend == "dp_oracle":
-                name, length, c = backend, int(table[len(x.symbols)][len(y.symbols)]), OpCounters()
+                name, r, c = backend, counted, OpCounters()
+                length = int(table[len(x.symbols)][len(y.symbols)])
             else:
-                # a record names the kernel `auto` ran; the L check keys by the name asked for
-                name, length, c = res.backend, res.length, res.counters
+                # a record names the kernel `auto` ran; the checks key by the name asked for
+                name, length, r, c = res.backend, res.length, res.stats.r, res.counters
             lengths[backend] = length
+            counts[backend] = r
             records.append(
                 BenchRecord(
                     case_id=case.case_id,
@@ -175,6 +181,8 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
             raise BenchDisagreement(
                 f"case {case.case_id}: backends disagree on L: {lengths}"
             )
+        if len(set(counts.values())) > 1:
+            raise BenchDisagreement(f"case {case.case_id}: backends disagree on R: {counts}")
     return records
 
 

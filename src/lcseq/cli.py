@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 verification mismatch or failed self-check,
 3 resource cap exceeded or out of memory.
 
 ``verify`` checks every length backend, and reconstruction under ``auto``
-and both kernels by name, against the dense oracle (and runs the shadow
-checker on small inputs), but runs the counted sets (veb, tree, array)
-only while R <= ``VERIFY_SETS_MAX_R``; above it, its ``ok:`` line (or a
-last stderr line after the ``FAIL:`` lines) names the skipped sets.
+and both kernels by name, against the dense oracle's L and one R (and
+runs the shadow checker on small inputs), but runs the counted sets
+(veb, tree, array) only while R <= ``VERIFY_SETS_MAX_R``; above it, its
+``ok:`` line (or a last stderr line after the ``FAIL:`` lines) names the
+skipped sets.
 
 ``length`` and ``subseq`` load only this module, ``core`` and
 ``matching``, and none of ``threshold``, ``dataclasses``, ``json`` or
@@ -33,7 +34,7 @@ from .core import (
     KERNEL_NAMES,
     LENGTH_BACKENDS,
     STRUCTURES,
-    _plan,
+    _count,
     dp_oracle,
     lcs_length,
     lcs_reconstruct,
@@ -117,7 +118,7 @@ def cmd_subseq(args) -> int:
 
 def cmd_stats(args) -> int:
     x, y = _load_pair(args)
-    stats = _plan(x, y, "auto")[1]  # R as `length` counts it, from the same index
+    stats = _count(x, y, "auto")[1]  # R as `length` counts it, and no kernel's index
     payload = {
         "m": len(x),
         "n": len(y),
@@ -135,13 +136,16 @@ def cmd_verify(args) -> int:
     oracle = int(dp_oracle(x, y)[len(x)][len(y)])  # first: above its cap nothing else runs
     auto = lcs_length(x, y)
     lengths = {"auto": auto.length}
+    counts = {"auto": auto.stats.r}
     names = (*KERNEL_NAMES, *BACKEND_NAMES)  # both kernels by name too, whichever `auto` picks
     skipped = ""
     if auto.stats.r > VERIFY_SETS_MAX_R:
         names = KERNEL_NAMES
         skipped = f"({', '.join(BACKEND_NAMES)} skipped: R = {auto.stats.r} > {VERIFY_SETS_MAX_R})"
     for backend in names:
-        lengths[backend] = lcs_length(x, y, backend=backend).length
+        res = lcs_length(x, y, backend=backend)
+        lengths[backend] = res.length
+        counts[backend] = res.stats.r
     lengths["dp_oracle"] = oracle
     failures = []
     for kernel in ("auto", *KERNEL_NAMES):  # the names its length side runs
@@ -151,10 +155,13 @@ def cmd_verify(args) -> int:
             failures.append(f"reconstruction[{kernel}]: {exc}")
         else:
             lengths[f"reconstruct[{kernel}]"] = recon.length
+            counts[f"reconstruct[{kernel}]"] = recon.stats.r
             if not validate_common_subsequence(recon.subsequence, x, y, oracle):
                 failures.append(f"reconstruction[{kernel}]: subsequence failed the structural check")
     if len(set(lengths.values())) > 1:
         failures.append(f"length disagreement: {lengths}")
+    if len(set(counts.values())) > 1:
+        failures.append(f"match count disagreement: {counts}")
     if len(x) <= DEFAULT_SHADOW_LIMIT and len(y) <= DEFAULT_SHADOW_LIMIT:
         try:
             shadow_run(x, y)

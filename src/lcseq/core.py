@@ -2,7 +2,7 @@
 
 The length driver walks the first sequence row by row.  The default
 (``auto``) runs one of two stdlib kernels, picked by ``_choose_kernel``
-from R (which ``_plan`` counts before any work), m and n:
+from R (which ``_count`` counts before any work), m and n:
 
 * ``bisect`` (``_threshold_rows``), the Hunt-Szymanski kernel.  It feeds
   each row's match columns, in strictly decreasing order, to a threshold
@@ -29,13 +29,14 @@ only then; those are the paper's structures and the references the tests audit.
 ``LENGTH_BACKENDS`` lists every name ``lcs_length`` takes.  Each entry point
 derives its index from (x, y) and checks its arguments before building it.
 
-``_plan`` does all the work before a kernel (the column map, or the
-position lists and R, the choice, and the chosen kernel's index), so
-``lcs_length``, ``lcs_reconstruct`` and the CLI's ``stats`` see one
-index and one kernel.  When x and y are both ``bytes`` (bytes mode),
-``auto`` and ``bitpar`` build y's masks first, from its eight bit planes
-in C (``_byte_masks``), count R from their popcounts, and build position
-lists only if the choice is ``bisect``.
+Two steps run before a kernel.  ``_count`` counts R with one index: the
+column map, or, when x and y are both ``bytes`` (bytes mode), y's masks
+from its eight bit planes in C (``_byte_masks``) with R from their
+popcounts, or else y's position lists and ``count_matches``.  ``_plan``
+then makes the choice, checks the trace's cap once, and builds the
+chosen kernel's index only where the count step built the other form,
+so ``lcs_length`` and ``lcs_reconstruct`` see one index and one kernel.
+The CLI's ``stats`` and ``bench`` run the count step alone.
 
 Reconstruction runs that kernel's trace builder:
 ``_bisect_trace`` and ``_distinct_trace`` record each match's
@@ -341,52 +342,58 @@ def _check_cap(backend: str, stats: MatchStats, memory_cap: int) -> None:
         raise ReconstructionCapError(stats.r, memory_cap, words)
 
 
-def _plan(
-    x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None
-) -> tuple[str, MatchStats, list[int] | None, dict[Hashable, list[int] | int] | None]:
-    """Everything before a kernel runs; returns (backend, stats, cols, index).
+def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
+    str, MatchStats, list[int] | None, dict[int, int] | None, dict[Hashable, list[int]] | None
+]:
+    """R and the index that counted it; returns (backend, stats, cols, masks, lists).
 
-    The one place in the package that builds an index for a kernel and
-    counts R.  Under ``auto`` alone, a y of distinct tokens gives its
-    ``column_map`` as cols (R = len(cols)), the backend ``bisect`` and no
-    index.  Otherwise cols is ``None`` and ``auto`` picks by
-    ``_choose_kernel``.  index is y's masks for ``bitpar`` and its
-    position lists for every other kernel.  When x and y are both
-    ``bytes``, ``auto`` and ``bitpar`` build the masks by ``_byte_masks``
-    and R from their popcounts, and ``bisect`` then builds the lists;
-    elsewhere the lists and ``count_matches`` come first, and ``bitpar``
-    builds the masks from the lists.  Given ``memory_cap``, the trace's
-    cap is checked once R and the kernel are known, before any other
-    index is built.
+    The one place in the package that counts R.  Under ``auto``, a y of
+    distinct tokens gives its ``column_map`` as cols (R = len(cols)) and
+    the backend ``bisect``.  Otherwise, when x and y are both ``bytes``,
+    ``auto`` and ``bitpar`` get y's ``_byte_masks`` and R from their
+    popcounts; everything else gets y's position lists and
+    ``count_matches``.  The other two index slots are ``None``, and the
+    backend is returned as given, ``auto`` included.
     """
     xs = x.symbols
     ys = y.symbols
     if backend == "auto":
         cols = column_map(x, y)
         if cols is not None:
-            stats = MatchStats(r=len(cols), n=len(ys), m=len(xs))
-            if memory_cap is not None:
-                _check_cap("bisect", stats, memory_cap)
-            return "bisect", stats, cols, None
+            return "bisect", MatchStats(r=len(cols), n=len(ys), m=len(xs)), cols, None, None
     if backend in ("auto", "bitpar") and type(xs) is bytes and type(ys) is bytes:
         masks = _byte_masks(ys)
         counts = [0] * 256
         for sym, mask in masks.items():
             counts[sym] = mask.bit_count()
         stats = MatchStats(r=sum(map(counts.__getitem__, xs)), n=len(ys), m=len(xs))
-        lists = None
-    else:
-        pl = build_position_lists(y)
-        stats = count_matches(x, pl)
-        lists = pl.lists
-        masks = None
+        return backend, stats, None, masks, None
+    pl = build_position_lists(y)
+    return backend, count_matches(x, pl), None, None, pl.lists
+
+
+def _plan(
+    x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None
+) -> tuple[str, MatchStats, list[int] | None, dict[Hashable, list[int] | int] | None]:
+    """Everything before a kernel runs; returns (backend, stats, cols, index).
+
+    ``_count`` gives R, and ``auto`` then picks by ``_choose_kernel``
+    unless the count took the column map.  Given ``memory_cap``, the
+    trace's cap is checked once R and the kernel are known, before any
+    other index is built.  index is ``None`` with cols, y's masks for
+    ``bitpar`` and its position lists for every other kernel, built here
+    only when the count step built the other form.
+    """
+    backend, stats, cols, masks, lists = _count(x, y, backend)
     if backend == "auto":
         backend = _choose_kernel(stats.r, stats.m, stats.n)
     if memory_cap is not None:
         _check_cap(backend, stats, memory_cap)
+    if cols is not None:
+        return backend, stats, cols, None
     if backend == "bitpar":
         if masks is None:
-            masks = _symbol_masks(xs, lists)
+            masks = _symbol_masks(x.symbols, lists)
         return backend, stats, None, masks
     if lists is None:
         lists = build_position_lists(y).lists

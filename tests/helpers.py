@@ -9,7 +9,7 @@ from bisect import bisect_right, insort
 from pathlib import Path
 
 from lcseq import core
-from lcseq.matching import Sequence, tokenize
+from lcseq.matching import MatchStats, Sequence, tokenize
 from lcseq.threshold import VebBackend
 
 
@@ -164,6 +164,22 @@ def run_cli_with_overcounting_bitpar(*args: str) -> subprocess.CompletedProcess:
         "import lcseq.core\n"
         "from helpers import overcounting_bitpar\n"
         "lcseq.core._bitpar_rows = overcounting_bitpar",
+        *args,
+    )
+
+
+def overcounting_matches(x, pl, count=core.count_matches):
+    """``count_matches``, reporting R + 1."""
+    stats = count(x, pl)
+    return MatchStats(r=stats.r + 1, n=stats.n, m=stats.m)
+
+
+def run_cli_with_overcounting_matches(*args: str) -> subprocess.CompletedProcess:
+    """`lcseq <args>` in a subprocess whose position-list count of R is one too many."""
+    return _run_patched_cli(
+        "import lcseq.core\n"
+        "from helpers import overcounting_matches\n"
+        "lcseq.core.count_matches = overcounting_matches",
         *args,
     )
 

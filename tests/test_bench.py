@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from lcseq import bench
+from lcseq import bench, core
 from lcseq.core import DpCapError, lcs_length
 from lcseq.matching import build_position_lists, count_matches
 from lcseq.threshold import TreeBackend
@@ -94,6 +94,21 @@ def test_run_bench_agreement_and_counters():
                 assert total <= 4 * r.R + 2
             if r.backend != "dp_oracle":
                 assert r.ops_update == r.R
+
+
+def test_run_bench_builds_no_masks_for_named_sets(monkeypatch):
+    # sigma = 4 and R near n^2/4: `auto` would run bitpar, but no row here reads its masks
+    cases = bench.default_cases(n=64, sigma=4, seed=1, backends=("bisect", "veb"))
+    x, y = bench.gen_pair(cases[1])
+    assert lcs_length(x, y).backend == "bitpar"
+
+    def refuse(*args):
+        raise AssertionError("bench built bitpar's masks")
+
+    monkeypatch.setattr(core, "_symbol_masks", refuse)
+    records = bench.run_bench(cases, repeats=1)
+    assert [r.backend for r in records] == ["bisect", "veb"] * 3
+    assert len({(r.case_id, r.R, r.L) for r in records}) == 3
 
 
 def test_tree_backend_depth_bound_in_driver():

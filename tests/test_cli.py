@@ -24,6 +24,7 @@ from helpers import (
     run_cli_with_literal_guard,
     run_cli_with_overcounting_bitpar,
     run_cli_with_overcounting_kernel,
+    run_cli_with_overcounting_matches,
     run_cli_with_short_extract,
 )
 
@@ -413,6 +414,24 @@ def test_stats_and_length_read_one_index(tmp_path, monkeypatch, capsys, name):
     assert _json_main(capsys, "stats", fa, fb, "--mode", mode) == stats
 
 
+@pytest.mark.parametrize("mode, pair, kernel, unread", [
+    # sigma = 2 lines, R = 20000 for m = n = 200: `length` runs bitpar on y's masks
+    ("lines", (b"a\nb\n" * 100, b"b\na\n" * 100), "bitpar", "_symbol_masks"),
+    # y repeats a byte, so no column map; one match per row: `length` runs bisect on y's lists
+    ("bytes", (bytes(range(100)), b"\x00" + bytes(range(100))), "bisect", "build_position_lists"),
+])
+def test_stats_builds_no_kernel_index(tmp_path, monkeypatch, capsys, mode, pair, kernel, unread):
+    fa, fb = write_pair(tmp_path, *pair)
+    length = _json_main(capsys, "length", fa, fb, "--mode", mode)
+    assert length["backend"] == kernel
+
+    def refuse(*args):
+        raise AssertionError(f"stats built {kernel}'s index")
+
+    monkeypatch.setattr(lcseq.core, unread, refuse)
+    assert _json_main(capsys, "stats", fa, fb, "--mode", mode)["R"] == length["R"]
+
+
 def test_stdin_first_input(tmp_path):
     fb = tmp_path / "b"
     fb.write_bytes(b"bdcaba")
@@ -588,6 +607,17 @@ def test_verify_failed_validation_fails_each_reconstruction(tmp_path):
     ]
 
 
+def test_verify_fails_on_a_match_count_disagreement(tmp_path):
+    # bytes mode counts R from y's masks under `auto` and `bitpar`, and from
+    # the position lists elsewhere; every L still agrees
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    proc = run_cli_with_overcounting_matches("verify", fa, fb)
+    assert proc.returncode == 1
+    counts = {"auto": 12, "bisect": 13, "bitpar": 12, "veb": 13, "tree": 13, "array": 13,
+              "reconstruct[auto]": 12, "reconstruct[bisect]": 13, "reconstruct[bitpar]": 12}
+    assert proc.stderr.decode() == f"FAIL: match count disagreement: {counts}\n"
+
+
 def test_verify_reports_a_shadow_violation(tmp_path):
     fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
     proc = _run_patched_cli(
@@ -758,6 +788,14 @@ def test_bench_checks_auto_under_the_name_asked_for():
     )
     assert proc.returncode == 1
     assert proc.stderr == b"error: case case0: backends disagree on L: {'auto': 1, 'bisect': 0}\n"
+
+
+def test_bench_checks_r_under_the_name_asked_for():
+    # `auto` counts R with the column map on these distinct-y cases, `bisect` with its lists
+    proc = run_cli_with_overcounting_matches(
+        "bench", "--n", "16", "--sigma", "1000", "--repeats", "1", "--backend", "auto,bisect")
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: case case0: backends disagree on R: {'auto': 0, 'bisect': 1}\n"
 
 
 def test_subseq_short_lcs_is_an_error_line(tmp_path):

@@ -31,10 +31,10 @@ from lcseq.core import (
     validate_common_subsequence,
 )
 from lcseq import core
-from lcseq.matching import Sequence, build_position_lists, column_map, count_matches
+from lcseq.matching import MatchStats, Sequence, build_position_lists, column_map, count_matches
 from lcseq.threshold import BACKEND_NAMES, ArrayBackend, OpCounters
 
-from helpers import brute_force_lcs_length, from_text
+from helpers import brute_force_lcs_length, brute_force_matches, from_text
 
 
 def rand_seq(rng, max_len, sigma):
@@ -666,6 +666,27 @@ def _check_distinct_path(x: Sequence, y: Sequence) -> None:
 @given(_distinct_y_pairs)
 def test_hypothesis_distinct_y_vs_oracle(pair):
     _check_distinct_path(Sequence(tuple(pair[0])), Sequence(tuple(pair[1])))
+
+
+@st.composite
+def _count_pairs(draw):
+    """A bytes, tuple or mixed pair over sigma of the 256 byte values, or a distinct-y tuple pair."""
+    if draw(st.booleans()):
+        a, b = draw(_distinct_y_pairs)
+        return Sequence(tuple(a)), Sequence(tuple(b))
+    sigma = draw(st.integers(1, 256))
+    kx, ky = draw(st.sampled_from(((bytes, bytes), (tuple, tuple), (bytes, tuple), (tuple, bytes))))
+    tokens = st.lists(st.integers(256 - sigma, 255), max_size=60)
+    return Sequence(kx(draw(tokens))), Sequence(ky(draw(tokens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_pairs())
+def test_hypothesis_count_step_agrees_across_backends(pair):
+    x, y = pair
+    expected = MatchStats(r=len(brute_force_matches(x, y)), n=len(y), m=len(x))
+    for backend in ("auto", "bisect", "bitpar", "veb"):
+        assert core._count(x, y, backend)[1] == expected, backend
 
 
 def test_distinct_y_examples():
