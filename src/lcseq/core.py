@@ -29,14 +29,15 @@ only then; those are the paper's structures and the references the tests audit.
 ``LENGTH_BACKENDS`` lists every name ``lcs_length`` takes.  Each entry point
 derives its index from (x, y) and checks its arguments before building it.
 
-Two steps run before a kernel.  ``_count`` counts R with one index: the
-column map, or, when x and y are both ``bytes`` (bytes mode), y's masks
+Two steps run before a kernel, and each hands over one index with the
+name of its form.  ``_count`` counts R with it: ``"cols"``, the column
+map; ``"masks"``, when x and y are both ``bytes`` (bytes mode), y's masks
 from its eight bit planes in C (``_byte_masks``) with R from their
-popcounts, or else y's position lists and ``count_matches``.  ``_plan``
-then makes the choice, checks the trace's cap once, and builds the
-chosen kernel's index only where the count step built the other form,
-so ``lcs_length`` and ``lcs_reconstruct`` see one index and one kernel.
-The CLI's ``stats`` and ``bench`` run the count step alone.
+popcounts; or ``"lists"``, y's position lists and ``count_matches``.
+``_plan`` then makes the choice, checks the trace's cap once, and
+converts the index at most once, where the chosen kernel reads the other
+form, so ``lcs_length`` and ``lcs_reconstruct`` see one index and one
+kernel.  The CLI's ``stats`` and ``bench`` run the count step alone.
 
 Reconstruction runs that kernel's trace builder:
 ``_bisect_trace`` and ``_distinct_trace`` record each match's
@@ -108,12 +109,17 @@ STRUCTURES = ("uniform_random", "repeated_block", "near_identical")
 
 # The kernel rule, in units of one 64-bit word of bitpar row work: bitpar
 # costs _BITPAR_ROW_WORDS plus ceil(n/64) words per row of x, and bisect
-# BITPAR_WORDS_PER_MATCH words per match.  2-core x86_64, Python 3.11:
-# bitpar length costs about 0.4 us + 0.012 us per word per row and bisect
-# about 0.25 us per match.  Reconstruction takes the same rule: with
-# R/m from 2.4 to 10.7 and n up to 8192, the bitpar builder reconstructs
-# faster than the bisect trace where the rule picks it.  Where
-# _choose_kernel picks bitpar, m * ceil(n/64) < BITPAR_WORDS_PER_MATCH * R.
+# BITPAR_WORDS_PER_MATCH words per match.  Both were calibrated before the
+# row update dropped its per-row ``& full``.  Since then (2-core x86_64,
+# Python 3.11.7) bitpar length fits 134-141 ns per row + 2.5-2.6 ns per
+# word (sigma = 4 bytes, m = 2000, n = 64..65536, best of 7), and bisect
+# costs 205-352 ns per match (m = n = 8000 random tuples, sigma = 64..1024):
+# about 54 words per row and 80-140 per match, against the 33 and 21 here,
+# which stand until the rule is recalibrated.  Reconstruction takes the
+# same rule: with R/m from 2.4 to 10.7 and n up to 8192, the bitpar
+# builder reconstructs faster than the bisect trace where the rule picks
+# it.  Where _choose_kernel picks bitpar, m * ceil(n/64) <
+# BITPAR_WORDS_PER_MATCH * R.
 _BITPAR_ROW_WORDS = 33
 BITPAR_WORDS_PER_MATCH = 21
 
@@ -271,22 +277,21 @@ def _byte_masks(ys: bytes) -> dict[int, int]:
     one ``int(..., 2)``, both in C.  Splitting the mask of all n columns by
     plane 7, each part by plane 6, and so on down to plane 0, dropping
     empty parts, leaves one mask per byte that y holds, keyed by the bits
-    of the planes it took: at most 2 * 256 ANDs per plane.
+    of the planes it took: a part's bits in the plane, and the rest of its
+    bits (``mask ^ one``), at most 256 ANDs and 256 XORs per plane.
     """
     if not ys:
         return {}
-    full = (1 << len(ys)) - 1
     rev = ys[::-1]  # int() reads the last column first
-    masks = {0: full}
+    masks = {0: (1 << len(ys)) - 1}
     for b in range(7, -1, -1):
         plane = int(rev.translate(_PLANES[b]), 2)
-        rest = full ^ plane
         bit = 1 << b
         split = {}
         for key, mask in masks.items():
             if one := mask & plane:
                 split[key | bit] = one
-            if zero := mask & rest:
+            if zero := mask ^ one:
                 split[key] = zero
         masks = split
     return masks
@@ -298,6 +303,8 @@ def _bitpar_rows(symbols: tuple[Hashable, ...] | bytes, masks: dict[Hashable, in
     V' = (V + (V & M)) | (V & ~M), with ~M the complement of M within the
     n columns.  Nothing clears V's bits from bit n up: they count the
     carries out of bit n-1, at most one per row, and no mask reaches them.
+    The complements, one n-bit int per mask, make a sigma = 256 row faster
+    than ``V ^ (V & M)`` would.
     """
     full = (1 << n) - 1
     rest = {sym: full ^ mask for sym, mask in masks.items()}
@@ -343,61 +350,59 @@ def _check_cap(backend: str, stats: MatchStats, memory_cap: int) -> None:
 
 
 def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
-    str, MatchStats, list[int] | None, dict[int, int] | None, dict[Hashable, list[int]] | None
+    str, MatchStats, str, list[int] | dict[Hashable, int] | dict[Hashable, list[int]]
 ]:
-    """R and the index that counted it; returns (backend, stats, cols, masks, lists).
+    """R and the index that counted it; returns (backend, stats, form, index).
 
-    The one place in the package that counts R.  Under ``auto``, a y of
-    distinct tokens gives its ``column_map`` as cols (R = len(cols)) and
-    the backend ``bisect``.  Otherwise, when x and y are both ``bytes``,
-    ``auto`` and ``bitpar`` get y's ``_byte_masks`` and R from their
-    popcounts; everything else gets y's position lists and
-    ``count_matches``.  The other two index slots are ``None``, and the
-    backend is returned as given, ``auto`` included.
+    The one place in the package that counts R, with one index of y whose
+    form names it.  Under ``auto``, a y of distinct tokens gives form
+    ``"cols"``, its ``column_map`` (R = len(cols)), and the backend
+    ``bisect``.  Otherwise, when x and y are both ``bytes``, ``auto`` and
+    ``bitpar`` get ``"masks"``, y's ``_byte_masks``, with R from their
+    popcounts; everything else gets ``"lists"``, y's position lists, with
+    R from ``count_matches``.  The backend is returned as given, ``auto``
+    included.
     """
     xs = x.symbols
     ys = y.symbols
     if backend == "auto":
         cols = column_map(x, y)
         if cols is not None:
-            return "bisect", MatchStats(r=len(cols), n=len(ys), m=len(xs)), cols, None, None
+            return "bisect", MatchStats(r=len(cols), n=len(ys), m=len(xs)), "cols", cols
     if backend in ("auto", "bitpar") and type(xs) is bytes and type(ys) is bytes:
         masks = _byte_masks(ys)
         counts = [0] * 256
         for sym, mask in masks.items():
             counts[sym] = mask.bit_count()
         stats = MatchStats(r=sum(map(counts.__getitem__, xs)), n=len(ys), m=len(xs))
-        return backend, stats, None, masks, None
+        return backend, stats, "masks", masks
     pl = build_position_lists(y)
-    return backend, count_matches(x, pl), None, None, pl.lists
+    return backend, count_matches(x, pl), "lists", pl.lists
 
 
 def _plan(
     x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None
-) -> tuple[str, MatchStats, list[int] | None, dict[Hashable, list[int] | int] | None]:
-    """Everything before a kernel runs; returns (backend, stats, cols, index).
+) -> tuple[str, MatchStats, str, list[int] | dict[Hashable, int] | dict[Hashable, list[int]]]:
+    """Everything before a kernel runs; returns (backend, stats, form, index) as ``_count`` does.
 
     ``_count`` gives R, and ``auto`` then picks by ``_choose_kernel``
     unless the count took the column map.  Given ``memory_cap``, the
     trace's cap is checked once R and the kernel are known, before any
-    other index is built.  index is ``None`` with cols, y's masks for
-    ``bitpar`` and its position lists for every other kernel, built here
-    only when the count step built the other form.
+    other index is built.  ``bitpar`` reads ``"masks"`` and every other
+    kernel ``"lists"`` or ``"cols"``, so the index is converted at most
+    once: to masks for ``bitpar`` from ``"lists"``, and to position lists
+    for any other kernel from ``"masks"``.
     """
-    backend, stats, cols, masks, lists = _count(x, y, backend)
+    backend, stats, form, index = _count(x, y, backend)
     if backend == "auto":
         backend = _choose_kernel(stats.r, stats.m, stats.n)
     if memory_cap is not None:
         _check_cap(backend, stats, memory_cap)
-    if cols is not None:
-        return backend, stats, cols, None
-    if backend == "bitpar":
-        if masks is None:
-            masks = _symbol_masks(x.symbols, lists)
-        return backend, stats, None, masks
-    if lists is None:
-        lists = build_position_lists(y).lists
-    return backend, stats, None, lists
+    if backend == "bitpar" and form == "lists":
+        return backend, stats, "masks", _symbol_masks(x.symbols, index)
+    if backend != "bitpar" and form == "masks":
+        return backend, stats, "lists", build_position_lists(y).lists
+    return backend, stats, form, index
 
 
 def lcs_length(
@@ -414,9 +419,9 @@ def lcs_length(
     """
     if backend not in LENGTH_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {LENGTH_BACKENDS}")
-    backend, stats, cols, index = _plan(x, y, backend)
-    if cols is not None:
-        length = _distinct_rows(cols)
+    backend, stats, form, index = _plan(x, y, backend)
+    if form == "cols":
+        length = _distinct_rows(index)
     elif backend == "bisect":
         length = len(_threshold_rows(x.symbols, index)) - 1
     elif backend == "bitpar":
@@ -581,9 +586,9 @@ def lcs_reconstruct(
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")
     if backend != "auto" and backend not in KERNEL_NAMES:
         raise ValueError(f"unknown backend {backend!r}; expected auto or one of {KERNEL_NAMES}")
-    backend, stats, cols, index = _plan(x, y, backend, memory_cap)
-    if cols is not None:
-        trace, last, length = _distinct_trace(cols)
+    backend, stats, form, index = _plan(x, y, backend, memory_cap)
+    if form == "cols":
+        trace, last, length = _distinct_trace(index)
     elif backend == "bisect":
         trace, last, length = _bisect_trace(x.symbols, index, stats.r)
     else:

@@ -88,10 +88,12 @@ def test_bitpar_row_memory_bound():
             picked += 1
             assert m * ((n + 63) // 64) < BITPAR_WORDS_PER_MATCH * r, (r, m, n)
     assert picked > 1000
-    # and the builder stores what the bound counts: m + 1 rows and at most
-    # sigma masks of n bits each (CPython: 4 bytes per 30-bit digit plus a
-    # header), a few temporaries, and the O(L) chain; a bytes pair builds its
-    # masks from bit planes, and its rows carry into the bits above n
+    # and the builder stores what the bound counts: m + 1 rows of n bits each
+    # (CPython: 4 bytes per 30-bit digit plus a header), a mask and its
+    # complement per symbol x and y share, or in bytes mode per byte of y
+    # (2 * sigma ints, inside the bound while sigma is small next to m), a few
+    # temporaries, and the O(L) chain; a bytes pair builds its masks from bit
+    # planes, and its rows carry into the bits above n
     for kind, sigma, m, n in ((tuple, 2, 1500, 2000), (tuple, 4, 2000, 1500),
                               (tuple, 26, 2000, 2000), (bytes, 4, 2000, 1500),
                               (bytes, 256, 2000, 2000)):
@@ -687,6 +689,41 @@ def test_hypothesis_count_step_agrees_across_backends(pair):
     expected = MatchStats(r=len(brute_force_matches(x, y)), n=len(y), m=len(x))
     for backend in ("auto", "bisect", "bitpar", "veb"):
         assert core._count(x, y, backend)[1] == expected, backend
+
+
+_INDEX_BUILDERS = ("column_map", "_byte_masks", "_symbol_masks", "build_position_lists",
+                   "count_matches")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_pairs())
+def test_hypothesis_plan_converts_at_most_once(pair):
+    """``_plan`` hands over one index, names its form and builds each index at most once."""
+    x, y = pair
+    lists = build_position_lists(y).lists
+    shared = set(x.symbols).intersection(lists)
+    distinct = len(lists) == len(y)
+    for backend in ("auto", "bisect", "bitpar", "veb"):
+        calls = dict.fromkeys(_INDEX_BUILDERS, 0)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in _INDEX_BUILDERS:
+                def counted(*args, _name=name, _build=getattr(core, name)):
+                    calls[_name] += 1
+                    return _build(*args)
+
+                mp.setattr(core, name, counted)
+            kernel, _, form, index = core._plan(x, y, backend)
+        assert max(calls.values()) == 1, (backend, calls)
+        assert kernel == backend or backend == "auto"
+        if kernel == "bitpar":
+            assert form == "masks"
+            assert {s: index[s] for s in shared} == _symbol_masks(x.symbols, lists)
+        elif backend == "auto" and distinct:
+            assert form == "cols"
+            assert index == [lists[s][0] for s in x.symbols if s in lists]
+        else:
+            assert form == "lists", (backend, form)
+            assert {s: index[s] for s in shared} == {s: lists[s] for s in shared}
 
 
 def test_distinct_y_examples():
