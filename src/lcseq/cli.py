@@ -40,7 +40,7 @@ from .core import (
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from .matching import MODES, Sequence, tokenize
+from .matching import MODES, MatchStats, Sequence, tokenize
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -67,13 +67,18 @@ def _load_pair(args) -> tuple[Sequence, Sequence]:
     return x, y
 
 
-def _emit(payload: dict, output: str, text_lines: list[str]) -> None:
+def _emit(stats: MatchStats, output: str, lines: list[str] | None = None, **fields) -> None:
+    """Print m, n and R from ``stats``, then ``fields``: as one JSON object, or as ``lines``.
+
+    ``lines`` defaults to one ``key = value`` line per key, m, n and R included.
+    """
+    payload = {"m": stats.m, "n": stats.n, "R": stats.r, **fields}
     if output == "json":
         import json
 
         print(json.dumps(payload))
     else:
-        for line in text_lines:
+        for line in lines or [f"{k} = {v}" for k, v in payload.items()]:
             print(line)
 
 
@@ -87,14 +92,7 @@ def _render_tokens(tokens, mode: str) -> str:
 def cmd_length(args) -> int:
     x, y = _load_pair(args)
     result = lcs_length(x, y, backend=args.backend)
-    payload = {
-        "m": len(x),
-        "n": len(y),
-        "R": result.stats.r,
-        "L": result.length,
-        "backend": result.backend,
-    }
-    _emit(payload, args.output, [f"{k} = {v}" for k, v in payload.items()])
+    _emit(result.stats, args.output, L=result.length, backend=result.backend)
     return EXIT_OK
 
 
@@ -104,28 +102,15 @@ def cmd_subseq(args) -> int:
     if not validate_common_subsequence(result.subsequence, x, y, result.length):
         raise RuntimeError("reconstructed subsequence failed validation")
     rendered = _render_tokens(result.subsequence, args.mode)
-    payload = {
-        "m": len(x),
-        "n": len(y),
-        "R": result.stats.r,
-        "L": result.length,
-        "backend": result.backend,
-        "subsequence": rendered,
-    }
-    _emit(payload, args.output, [f"L = {result.length}", rendered])
+    _emit(result.stats, args.output, [f"L = {result.length}", rendered],
+          L=result.length, backend=result.backend, subsequence=rendered)
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
     x, y = _load_pair(args)
     stats = _count(x, y, "auto")[1]  # R as `length` counts it, and no kernel's index
-    payload = {
-        "m": len(x),
-        "n": len(y),
-        "R": stats.r,
-        "distinct_symbols": len(set(x.symbols) | set(y.symbols)),
-    }
-    _emit(payload, args.output, [f"{k} = {v}" for k, v in payload.items()])
+    _emit(stats, args.output, distinct_symbols=len(set(x.symbols) | set(y.symbols)))
     return EXIT_OK
 
 

@@ -37,7 +37,8 @@ popcounts; or ``"lists"``, y's position lists and ``count_matches``.
 ``_plan`` then makes the choice, checks the trace's cap once, and
 converts the index at most once, where the chosen kernel reads the other
 form, so ``lcs_length`` and ``lcs_reconstruct`` see one index and one
-kernel.  The CLI's ``stats`` and ``bench`` run the count step alone.
+kernel; ``bitpar``'s pairs each mask with its complement.  The CLI's
+``stats`` and ``bench`` run the count step alone, which builds neither.
 
 Reconstruction runs that kernel's trace builder:
 ``_bisect_trace`` and ``_distinct_trace`` record each match's
@@ -297,22 +298,22 @@ def _byte_masks(ys: bytes) -> dict[int, int]:
     return masks
 
 
-def _bitpar_rows(symbols: tuple[Hashable, ...] | bytes, masks: dict[Hashable, int], n: int) -> int:
+def _bitpar_rows(
+    symbols: tuple[Hashable, ...] | bytes, masks: dict[Hashable, tuple[int, int]], n: int
+) -> int:
     """LCS length by the bit-parallel row update; L is the count of 0 bits of V below bit n.
 
-    V' = (V + (V & M)) | (V & ~M), with ~M the complement of M within the
-    n columns.  Nothing clears V's bits from bit n up: they count the
+    V' = (V + (V & M)) | (V & ~M), reading each symbol's (M, ~M) from
+    ``_plan``.  Nothing clears V's bits from bit n up: they count the
     carries out of bit n-1, at most one per row, and no mask reaches them.
-    The complements, one n-bit int per mask, make a sigma = 256 row faster
-    than ``V ^ (V & M)`` would.
     """
     full = (1 << n) - 1
-    rest = {sym: full ^ mask for sym, mask in masks.items()}
     v = full
     for sym in symbols:
-        mask = masks.get(sym)
-        if mask is not None:
-            v = (v + (v & mask)) | (v & rest[sym])
+        pair = masks.get(sym)
+        if pair is not None:
+            mask, rest = pair
+            v = (v + (v & mask)) | (v & rest)
     return n - (v & full).bit_count()
 
 
@@ -360,7 +361,8 @@ def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
     ``bisect``.  Otherwise, when x and y are both ``bytes``, ``auto`` and
     ``bitpar`` get ``"masks"``, y's ``_byte_masks``, with R from their
     popcounts; everything else gets ``"lists"``, y's position lists, with
-    R from ``count_matches``.  The backend is returned as given, ``auto``
+    R from ``count_matches``.  The masks are plain ints: ``_plan`` adds
+    bitpar's complements.  The backend is returned as given, ``auto``
     included.
     """
     xs = x.symbols
@@ -380,9 +382,9 @@ def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
     return backend, count_matches(x, pl), "lists", pl.lists
 
 
-def _plan(
-    x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None
-) -> tuple[str, MatchStats, str, list[int] | dict[Hashable, int] | dict[Hashable, list[int]]]:
+def _plan(x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None) -> tuple[
+    str, MatchStats, str, list[int] | dict[Hashable, tuple[int, int]] | dict[Hashable, list[int]]
+]:
     """Everything before a kernel runs; returns (backend, stats, form, index) as ``_count`` does.
 
     ``_count`` gives R, and ``auto`` then picks by ``_choose_kernel``
@@ -391,16 +393,20 @@ def _plan(
     other index is built.  ``bitpar`` reads ``"masks"`` and every other
     kernel ``"lists"`` or ``"cols"``, so the index is converted at most
     once: to masks for ``bitpar`` from ``"lists"``, and to position lists
-    for any other kernel from ``"masks"``.
+    for any other kernel from ``"masks"``.  ``bitpar`` then gets each mask
+    M as (M, ~M), ~M its complement within the n columns: one more n-bit
+    int per mask, which makes a sigma = 256 row faster than ``V ^ (V & M)``.
     """
     backend, stats, form, index = _count(x, y, backend)
     if backend == "auto":
         backend = _choose_kernel(stats.r, stats.m, stats.n)
     if memory_cap is not None:
         _check_cap(backend, stats, memory_cap)
-    if backend == "bitpar" and form == "lists":
-        return backend, stats, "masks", _symbol_masks(x.symbols, index)
-    if backend != "bitpar" and form == "masks":
+    if backend == "bitpar":
+        masks = index if form == "masks" else _symbol_masks(x.symbols, index)
+        full = (1 << stats.n) - 1
+        return backend, stats, "masks", {sym: (mask, full ^ mask) for sym, mask in masks.items()}
+    if form == "masks":
         return backend, stats, "lists", build_position_lists(y).lists
     return backend, stats, form, index
 
@@ -510,14 +516,15 @@ def _distinct_trace(cols: list[int]) -> tuple[TraceTable, int, int]:
 def _bitpar_trace(
     symbols: tuple[Hashable, ...] | bytes,
     ys: tuple[Hashable, ...] | bytes,
-    masks: dict[Hashable, int],
+    masks: dict[Hashable, tuple[int, int]],
     n: int,
 ) -> tuple[TraceTable, int, int]:
     """The LCS chain from the stored bitpar rows; returns (trace, last match, L).
 
-    The rows are ``_bitpar_rows``'s.  With V_i the row after x_i, the DP
-    value D[i][j] is j minus the 1 bits of V_i below bit j; bit j-1 is 1
-    exactly where D[i][j-1] = D[i][j].  The walk reads no bit from n up,
+    The rows are ``_bitpar_rows``'s, from the same (mask, complement)
+    pairs.  With V_i the row after x_i, the DP value D[i][j] is j minus
+    the 1 bits of V_i below bit j; bit j-1 is 1 exactly where
+    D[i][j-1] = D[i][j].  The walk reads no bit from n up,
     where V_i counts carries.
     The walk starts at (m, n) with k = L and keeps D[i][j] = k by three
     rules:
@@ -537,14 +544,14 @@ def _bitpar_trace(
     left jump, and does no popcount.
     """
     full = (1 << n) - 1
-    rest = {sym: full ^ mask for sym, mask in masks.items()}
     v = full
     rows = [v]
     append = rows.append
     for sym in symbols:
-        mask = masks.get(sym)
-        if mask is not None:
-            v = (v + (v & mask)) | (v & rest[sym])
+        pair = masks.get(sym)
+        if pair is not None:
+            mask, rest = pair
+            v = (v + (v & mask)) | (v & rest)
         append(v)
     length = n - (v & full).bit_count()
     cols = [0] * (length + 1)
@@ -580,7 +587,7 @@ def lcs_reconstruct(
     ``bitpar`` by name would keep over ``BITPAR_WORDS_PER_MATCH * memory_cap`` row words
     (min(m, R) * ceil(n/64): rows without a match share one; ``auto`` never does).
     The planner checks the cap once it knows R, so the masks of a bytes pair
-    (at most 256 ints of n bits) come before the check, and no row does.
+    (at most 256 ints of n bits) come before the check, and no complement or row does.
     """
     if memory_cap < 0:
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")

@@ -141,10 +141,11 @@ class MatchStats(_FrozenRecord):
 
 def build_position_lists(y: Sequence) -> PositionLists:
     """Single scan of Y; lists come out largest-position-first."""
+    ys = y.symbols
     lists: dict[Hashable, list[int]] = {}
-    for pos in range(len(y.symbols), 0, -1):
-        lists.setdefault(y.symbols[pos - 1], []).append(pos)
-    return PositionLists(lists=lists, length=len(y.symbols))
+    for pos, sym in zip(range(len(ys), 0, -1), reversed(ys)):
+        lists.setdefault(sym, []).append(pos)
+    return PositionLists(lists=lists, length=len(ys))
 
 
 def count_matches(x: Sequence, pl: PositionLists) -> MatchStats:

@@ -111,6 +111,20 @@ def test_run_bench_builds_no_masks_for_named_sets(monkeypatch):
     assert len({(r.case_id, r.R, r.L) for r in records}) == 3
 
 
+def test_run_bench_counts_only_for_the_oracle(monkeypatch):
+    calls = []
+
+    def counted(x, y, backend, _count=bench._count):
+        calls.append(backend)
+        return _count(x, y, backend)
+
+    monkeypatch.setattr(bench, "_count", counted)
+    bench.run_bench(bench.default_cases(backends=("veb", "array")), repeats=1)
+    assert calls == []
+    bench.run_bench(bench.default_cases(backends=("veb", "array", "dp_oracle")), repeats=1)
+    assert calls == ["auto"] * 3
+
+
 def test_tree_backend_depth_bound_in_driver():
     case = bench.BenchCase("c", 256, 256, 2, 9)
     x, y = bench.gen_pair(case)

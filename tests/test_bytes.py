@@ -149,10 +149,10 @@ def test_bitpar_rows_count_carries_above_bit_n():
     for idx in range(300):
         raw_x, raw_y = _pair(rng, SIGMAS[idx % 5], idx // 5 % 5)
         n = len(raw_y)
-        masks = _byte_masks(raw_y)
+        index = core._plan(Sequence(raw_x), Sequence(raw_y), "bitpar")[3]
         sys.setprofile(profile)
         try:
-            _bitpar_trace(raw_x, raw_y, masks, n)
+            _bitpar_trace(raw_x, raw_y, index, n)
         finally:
             sys.setprofile(None)
         rows = seen.pop()
@@ -160,7 +160,7 @@ def test_bitpar_rows_count_carries_above_bit_n():
         v = full
         for i, row in enumerate(rows):
             if i:
-                mask = masks.get(raw_x[i - 1], 0)
+                mask = index.get(raw_x[i - 1], (0, 0))[0]
                 u = v & mask
                 v = ((v + u) | (v - u)) & full  # Allison and Dix's form
             assert row >> n <= i, (idx, i)

@@ -275,6 +275,40 @@ def test_text_and_json_agree(tmp_path):
         assert int(text_values[key]) == payload[key]
 
 
+# the bytes pair takes y's masks (bitpar), the lines pair repeats a line of y (position lists)
+REPORTS = {
+    ("bytes", b"abcbdab", b"bdcaba"): {
+        "length": ("m = 7\nn = 6\nR = 12\nL = 4\nbackend = bitpar\n",
+                   '{"m": 7, "n": 6, "R": 12, "L": 4, "backend": "bitpar"}\n'),
+        "subseq": ("L = 4\nbdab\n",
+                   '{"m": 7, "n": 6, "R": 12, "L": 4, "backend": "bitpar", '
+                   '"subsequence": "bdab"}\n'),
+        "stats": ("m = 7\nn = 6\nR = 12\ndistinct_symbols = 4\n",
+                  '{"m": 7, "n": 6, "R": 12, "distinct_symbols": 4}\n'),
+    },
+    ("lines", b"alpha\nbeta\ngamma\n", b"beta\ngamma\nbeta\n"): {
+        "length": ("m = 3\nn = 3\nR = 3\nL = 2\nbackend = bisect\n",
+                   '{"m": 3, "n": 3, "R": 3, "L": 2, "backend": "bisect"}\n'),
+        "subseq": ("L = 2\nbeta\ngamma\n",
+                   '{"m": 3, "n": 3, "R": 3, "L": 2, "backend": "bisect", '
+                   '"subsequence": "beta\\ngamma"}\n'),
+        "stats": ("m = 3\nn = 3\nR = 3\ndistinct_symbols = 3\n",
+                  '{"m": 3, "n": 3, "R": 3, "distinct_symbols": 3}\n'),
+    },
+}
+
+
+@pytest.mark.parametrize("case", REPORTS, ids=lambda case: case[0])
+def test_reports_are_byte_exact(tmp_path, capsys, case):
+    """Key order, text lines and JSON spacing of every report, as written."""
+    mode, a, b = case
+    fa, fb = write_pair(tmp_path, a, b)
+    for cmd, outputs in REPORTS[case].items():
+        for output, expected in zip(("text", "json"), outputs):
+            assert lcseq.cli.main([cmd, fa, fb, "--mode", mode, "--output", output]) == 0
+            assert capsys.readouterr() == (expected, ""), (cmd, output)
+
+
 def test_subseq(tmp_path):
     fa, fb = write_pair(tmp_path, b"abc", b"abc")
     proc = run_cli("subseq", fa, fb)

@@ -18,7 +18,6 @@ from lcseq.core import (
     TraceTable,
     _bisect_trace,
     _bitpar_trace,
-    _byte_masks,
     _choose_kernel,
     _distinct_trace,
     _symbol_masks,
@@ -99,22 +98,35 @@ def test_bitpar_row_memory_bound():
                               (bytes, 256, 2000, 2000)):
         x = Sequence(kind(rng.randrange(sigma) for _ in range(m)))
         y = Sequence(kind(rng.randrange(sigma) for _ in range(n)))
-        pl = build_position_lists(y)
-        r = count_matches(x, pl).r
+        r = count_matches(x, build_position_lists(y)).r
         assert _choose_kernel(r, m, n) == "bitpar"
         tracemalloc.start()
         try:
-            if kind is bytes:
-                masks = _byte_masks(y.symbols)
-            else:
-                masks = _symbol_masks(x.symbols, pl.lists)
-            _bitpar_trace(x.symbols, y.symbols, masks, n)
+            index = core._plan(x, y, "bitpar")[3]
+            _bitpar_trace(x.symbols, y.symbols, index, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         row_bytes = 32 + 4 * -(-n // 30)
         # per row of x: a list slot for its row, and two chain entries (slot + int)
         assert peak < (m + 1 + sigma + 4) * row_bytes + 96 * (m + 1) + 4096, (sigma, peak)
+
+
+def test_bitpar_kernels_build_no_index():
+    """The length kernel sweeps ``_plan``'s (mask, complement) pairs and builds no index."""
+    rng = random.Random(7)
+    n = 4096
+    x, y = Sequence(rng.randbytes(n)), Sequence(rng.randbytes(n))
+    index = core._plan(x, y, "bitpar")[3]
+    tracemalloc.start()
+    try:
+        length = core._bitpar_rows(x.symbols, index, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert length == lcs_length(x, y, backend="bisect").length
+    row_bytes = 32 + 4 * -(-n // 30)
+    assert peak < 8 * row_bytes, peak / row_bytes
 
 
 def test_kernel_rows_equal_array_backend():
@@ -336,10 +348,9 @@ def test_bisect_trace_equals_column_keyed_reference():
 
 
 def _check_bitpar_chain(x, y):
-    pl = build_position_lists(y)
     expected = int(dp_oracle(x, y)[len(x)][len(y)])
-    masks = _symbol_masks(x.symbols, pl.lists)
-    trace, last, length = _bitpar_trace(x.symbols, y.symbols, masks, pl.length)
+    index = core._plan(x, y, "bitpar")[3]
+    trace, last, length = _bitpar_trace(x.symbols, y.symbols, index, len(y))
     assert trace.count == last == length == expected
     assert trace.predecessor == [0, *range(length)]
     cols = trace.column[1:]
@@ -426,9 +437,8 @@ def test_bitpar_walk_identical_is_diagonal(n):
     rng = random.Random(n)
     for sigma in (1, 4, 256):
         x = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
-        pl = build_position_lists(x)
-        masks = _symbol_masks(x.symbols, pl.lists)
-        trace, last, length = _bitpar_trace(x.symbols, x.symbols, masks, n)
+        index = core._plan(x, x, "bitpar")[3]
+        trace, last, length = _bitpar_trace(x.symbols, x.symbols, index, n)
         assert trace.column == list(range(n + 1)) and last == length == n
 
 
@@ -451,8 +461,7 @@ def test_bitpar_walk_identical_is_diagonal(n):
 )
 def test_bitpar_walk_examples(a, b, chain):
     x, y = from_text(a), from_text(b)
-    pl = build_position_lists(y)
-    trace, _, _ = _bitpar_trace(x.symbols, y.symbols, _symbol_masks(x.symbols, pl.lists), pl.length)
+    trace, _, _ = _bitpar_trace(x.symbols, y.symbols, core._plan(x, y, "bitpar")[3], len(y))
     assert trace.column[1:] == chain
 
 
@@ -461,7 +470,6 @@ def test_bitpar_walk_steps_are_linear():
     code = _bitpar_trace.__code__
 
     def run(x, y):
-        pl = build_position_lists(y)
         budget = 8 * (2 * len(x) + len(y)) + 64  # line events, forward pass included
         lines = 0
 
@@ -476,8 +484,8 @@ def test_bitpar_walk_steps_are_linear():
         old = sys.gettrace()
         sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
         try:
-            masks = _symbol_masks(x.symbols, pl.lists)
-            return _bitpar_trace(x.symbols, y.symbols, masks, pl.length)
+            index = core._plan(x, y, "bitpar")[3]
+            return _bitpar_trace(x.symbols, y.symbols, index, len(y))
         finally:
             sys.settrace(old)
 
@@ -717,7 +725,9 @@ def test_hypothesis_plan_converts_at_most_once(pair):
         assert kernel == backend or backend == "auto"
         if kernel == "bitpar":
             assert form == "masks"
-            assert {s: index[s] for s in shared} == _symbol_masks(x.symbols, lists)
+            full = (1 << len(y)) - 1
+            assert {s: index[s] for s in shared} == {
+                s: (m, full ^ m) for s, m in _symbol_masks(x.symbols, lists).items()}
         elif backend == "auto" and distinct:
             assert form == "cols"
             assert index == [lists[s][0] for s in x.symbols if s in lists]
