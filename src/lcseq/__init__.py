@@ -3,7 +3,7 @@
 The default path picks one of two kernels from the match count R: the
 successor-replacement update on a plain sorted list with bisect
 (Hunt-Szymanski, O(R log L + n)) or a bit-parallel row update
-(O(m * ceil(n/64))); three counted backends (van Emde Boas tree, AVL
+(O(m * ceil(n/64))); three named backends (van Emde Boas tree, AVL
 tree, sorted vector) drive the same update as the paper's structures.
 Reconstruction records a per-match predecessor trace in O(R) space, or,
 on the bit-parallel path, keeps the rows and walks back the LCS chain.

@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 verification mismatch or failed self-check,
 
 ``verify`` checks every length backend, and reconstruction under ``auto``
 and both kernels by name, against the dense oracle's L and one R (and
-runs the shadow checker on small inputs), but runs the counted sets
+runs the shadow checker on small inputs), but runs the named sets
 (veb, tree, array) only while R <= ``VERIFY_SETS_MAX_R``; above it, its
 ``ok:`` line (or a last stderr line after the ``FAIL:`` lines) names the
 skipped sets.
@@ -47,7 +47,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# `verify` runs the counted sets (veb, tree, array) only up to this many
+# `verify` runs the named sets (veb, tree, array) only up to this many
 # matches R: above it `tree` alone costs seconds (about 16 us per match).
 VERIFY_SETS_MAX_R = 1 << 18
 
@@ -273,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeEncodeError) as exc:  # unreadable input, unencodable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:  # a failed self-check: bench disagreement, short LCS, 4R ops
+    except RuntimeError as exc:  # a failed self-check: bench disagreement, short or invalid LCS
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

@@ -1,4 +1,4 @@
-"""LCS drivers: two kernels, the counted threshold sets, reconstruction, the DP oracle.
+"""LCS drivers: two kernels, the named threshold sets, reconstruction, the DP oracle.
 
 The length driver walks the first sequence row by row.  The default
 (``auto``) runs one of two stdlib kernels, picked by ``_choose_kernel``
@@ -24,8 +24,10 @@ rule's pick since R <= m.  ``bisect`` by name runs the position-list
 kernel.  ``column_map`` rules the path out in O(1) when y repeats early.
 
 A named backend (``BACKEND_NAMES``: ``veb``, ``tree``, ``array``) runs
-the counted ``ThresholdSet`` that ``lcseq.threshold`` builds, imported
-only then; those are the paper's structures and the references the tests audit.
+the ``ThresholdSet`` that ``lcseq.threshold`` builds, imported only
+then; those are the paper's structures and the references the tests
+audit.  No backend counts its operations: every result's ``OpCounters``
+come from R and L by ``_kernel_counters``.
 ``LENGTH_BACKENDS`` lists every name ``lcs_length`` takes.  Each entry point
 derives its index from (x, y) and checks its arguments before building it.
 
@@ -98,7 +100,7 @@ __all__ = [
 DEFAULT_TRACE_CAP = 1 << 26  # max matches R that reconstruction takes on
 DEFAULT_DP_CAP = 1 << 26  # max cells in the dense oracle table
 KERNEL_NAMES = ("bisect", "bitpar")  # the names the two kernels report
-BACKEND_NAMES = ("veb", "tree", "array")  # the counted sets, in lcseq.threshold
+BACKEND_NAMES = ("veb", "tree", "array")  # the named sets, in lcseq.threshold
 LENGTH_BACKENDS = ("auto", *KERNEL_NAMES, *BACKEND_NAMES)  # the names lcs_length takes
 
 # The `lcseq bench` choices, kept here rather than in `lcseq.bench` so that
@@ -161,7 +163,7 @@ def check_dp_cap(m: int, n: int) -> None:
 
 
 class OpCounters(_Record):
-    """Counts of each set operation, and of ``update`` calls."""
+    """Counts of each set operation, and of ``update`` calls; ``_kernel_counters`` makes them."""
 
     __slots__ = ("succ", "pred", "insert", "delete", "update")
 
@@ -218,13 +220,6 @@ class LcsResult(_Record):
         self.backend = backend
         self.row_costs = row_costs
         self.trace = trace
-
-
-def _check_op_budget(counters: OpCounters, r: int) -> None:
-    """At most four structure operations per match (succ, pred, insert, delete)."""
-    ops = counters.structure_total()
-    if ops > 4 * r:
-        raise RuntimeError(f"{ops} structure operations for R = {r} exceeds 4R")
 
 
 def _threshold_rows(symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]]) -> list[int]:
@@ -318,10 +313,11 @@ def _bitpar_rows(
 
 
 def _kernel_counters(r: int, length: int) -> OpCounters:
-    """The counts a counted set makes for the kernel's updates.
+    """Every backend's operation counts, from R and L alone.
 
-    Each match is one update, one successor query and one insert; all but
-    the L appends also delete the replaced member.
+    The paper's sweep is R calls of Update(S, x), whatever structure holds
+    S: each is one successor query and one insert, and all but the L
+    appends also delete the replaced member.  No query is a Pred.
     """
     return OpCounters(succ=r, insert=r, delete=r - length, update=r)
 
@@ -426,6 +422,7 @@ def lcs_length(
     if backend not in LENGTH_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {LENGTH_BACKENDS}")
     backend, stats, form, index = _plan(x, y, backend)
+    row_costs = None
     if form == "cols":
         length = _distinct_rows(index)
     elif backend == "bisect":
@@ -443,9 +440,8 @@ def lcs_length(
             ts.begin_row()
             for j in positions:
                 ts.update(j)
-        _check_op_budget(ts.counters, stats.r)
-        return LcsResult(ts.size(), None, stats, ts.counters, ts.name, ts.row_costs())
-    return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend)
+        length, backend, row_costs = ts.size(), ts.name, ts.row_costs()
+    return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend, row_costs)
 
 
 def _bisect_trace(

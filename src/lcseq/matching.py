@@ -104,17 +104,18 @@ class SymbolTable:
 
 
 def tokenize(raw: bytes, mode: str, table: SymbolTable | None = None) -> Sequence:
-    """Turn raw bytes into a Sequence.
+    """Turn raw bytes, or any bytes-like object, into a Sequence.
 
     bytes mode keeps the bytes, each token being a byte's value; lines mode
     makes each line, without its line ending (``bytes.splitlines``), its
-    own token, so equal lines in two inputs are equal tokens.  ``table``
-    is accepted for older callers and unused.
+    own ``bytes`` token, so equal lines in two inputs are equal tokens.
+    Both modes read ``bytes(raw)``, which is ``raw`` itself when it is
+    ``bytes``.  ``table`` is accepted for older callers and unused.
     """
     if mode == "bytes":
         return Sequence(bytes(raw))
     if mode == "lines":
-        return Sequence(tuple(raw.splitlines()))
+        return Sequence(tuple(bytes(raw).splitlines()))
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 

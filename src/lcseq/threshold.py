@@ -3,7 +3,7 @@
 The set holds strictly increasing integers in 1..capacity.  `update(x)`
 replaces the successor of x-1 (the smallest member >= x) with x when one
 exists, and appends x otherwise; the set therefore never shrinks and
-grows by at most one per update.  ``ThresholdSet`` is the one counted
+grows by at most one per update.  ``ThresholdSet`` is the one set
 contract over an ordered structure, which each backend supplies:
 
 * ``VebBackend``  - van Emde Boas tree, O(log log n) per operation.
@@ -15,8 +15,11 @@ contract over an ordered structure, which each backend supplies:
 They are the named ``--backend`` choices and the references the tests
 audit; ``make_threshold_set`` maps one of ``BACKEND_NAMES`` to its
 backend.  ``lcseq.core`` holds those names and ``OpCounters``, and
-imports this module only when a named set runs.  Queries use 0 as the
-"no such element" sentinel, matching the positive-integer key space.
+imports this module only when a named set runs.  No set keeps operation
+counts: each update is one Succ, one Insert and at most one Delete, so
+``lcseq.core`` derives every backend's counts from R and L.  Queries use
+0 as the "no such element" sentinel, matching the positive-integer key
+space.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import BACKEND_NAMES, OpCounters
+from .core import BACKEND_NAMES, OpCounters  # both re-exported
 
 if TYPE_CHECKING:
     from .bst import AvlTree
@@ -49,15 +52,14 @@ class RowCost(NamedTuple):
 
 
 class ThresholdSet:
-    """The counted ordered set DS over 1..capacity behind each named backend.
+    """The ordered set DS over 1..capacity behind each named backend.
 
     ``update``, ``succ``, ``pred``, ``max``, ``size`` and ``contents`` run
     over ``self.tree``, an ordered integer set with ``successor`` and
     ``predecessor`` (None when absent), ``max``, ``len`` and ascending
-    iteration.  Only this class counts, in ``counters``: each Succ and
-    Pred, and per update one Succ, one Insert and, when a member was
-    replaced, one Delete.  A backend changes only the uncounted replace
-    step, ``_replace``, and may use the row-boundary hint ``begin_row``.
+    iteration.  Only this class range-checks its arguments.  A backend
+    changes only the replace step, ``_replace``, and may use the
+    row-boundary hint ``begin_row``.
     """
 
     tree: VebTree | AvlTree | _SortedVector
@@ -67,7 +69,6 @@ class ThresholdSet:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.counters = OpCounters()
 
     def size(self) -> int:
         return len(self.tree)
@@ -80,14 +81,12 @@ class ThresholdSet:
         """Smallest member > x, or 0."""
         if not 0 <= x <= self.capacity:
             raise ValueError(f"succ argument {x} outside 0..{self.capacity}")
-        self.counters.succ += 1
         return self.tree.successor(x) or 0
 
     def pred(self, x: int) -> int:
         """Largest member < x, or 0."""
         if not 1 <= x <= self.capacity:
             raise ValueError(f"pred argument {x} outside 1..{self.capacity}")
-        self.counters.pred += 1
         return self.tree.predecessor(x) or 0
 
     def update(self, x: int) -> int | None:
@@ -97,14 +96,7 @@ class ThresholdSet:
         """
         if not 1 <= x <= self.capacity:
             raise ValueError(f"update argument {x} outside 1..{self.capacity}")
-        counters = self.counters
-        counters.update += 1
-        counters.succ += 1
-        counters.insert += 1
-        y = self._replace(x)
-        if y is not None:
-            counters.delete += 1
-        return y
+        return self._replace(x)
 
     def _replace(self, x: int) -> int | None:
         """Put x in place of the successor of x-1, or append it, by ``tree.delete``/``insert``."""

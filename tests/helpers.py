@@ -96,7 +96,7 @@ class LiteralGuardVebBackend(VebBackend):
     The guard skips the delete when the successor is the current maximum,
     so the set can over-grow.  Deliberately faulty: tests inject it to show
     that verification catches a wrong backend.  It changes only the
-    replace step; ``ThresholdSet.update`` still checks and counts.
+    replace step; ``ThresholdSet.update`` still range-checks.
     """
 
     def _replace(self, x: int) -> int | None:

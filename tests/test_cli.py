@@ -14,7 +14,6 @@ import pytest
 import lcseq
 from lcseq.cli import build_parser
 from lcseq.core import BENCH_BACKENDS, LENGTH_BACKENDS
-from lcseq.threshold import ThresholdSet
 
 from helpers import (
     _run_patched_cli,
@@ -838,22 +837,6 @@ def test_subseq_short_lcs_is_an_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith(b"error: extracted 0 symbols")
     assert b"Traceback" not in proc.stderr
-
-
-def test_named_set_over_four_ops_per_match_is_an_error_line(tmp_path, monkeypatch, capsys):
-    update = ThresholdSet.update
-
-    def update_with_two_preds(self, x):
-        self.counters.pred += 2
-        return update(self, x)
-
-    monkeypatch.setattr(ThresholdSet, "update", update_with_two_preds)
-    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
-    assert lcseq.cli.main(["length", fa, fb, "--backend", "veb"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    # R = 12 and L = 4: 12 succ, 12 insert, 8 delete and 24 pred
-    assert captured.err == "error: 56 structure operations for R = 12 exceeds 4R\n"
 
 
 def test_subseq_failed_validation_is_an_error_line(tmp_path):

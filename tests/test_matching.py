@@ -12,7 +12,19 @@ from lcseq.matching import (
     tokenize,
 )
 
+from lcseq.core import lcs_length
+
 from helpers import brute_force_matches, from_text
+
+
+def check_bytes_like(raw, mode):
+    """A bytearray or memoryview of ``raw`` tokenizes as ``raw`` does, and lcs_length runs on it."""
+    ref = tokenize(raw, mode)
+    length = lcs_length(ref, ref).length
+    for like in (bytearray(raw), memoryview(raw)):
+        seq = tokenize(like, mode)
+        assert seq.symbols == ref.symbols, (type(like), mode)
+        assert lcs_length(seq, ref).length == lcs_length(ref, seq).length == length
 
 
 def test_tokenize_bytes():
@@ -20,6 +32,7 @@ def test_tokenize_bytes():
     assert seq.symbols == b"aba"
     assert list(seq.symbols) == [97, 98, 97]
     assert len(seq) == 3
+    check_bytes_like(b"aba", "bytes")
 
 
 def test_tokenize_lines_first_appearance():
@@ -27,6 +40,7 @@ def test_tokenize_lines_first_appearance():
     seq = tokenize(b"x\ny\r\n\nx\rz", "lines")
     assert seq.symbols == (b"x", b"y", b"", b"x", b"z")
     assert seq.symbols[0] == seq.symbols[3]
+    check_bytes_like(b"x\ny\r\n\nx\rz", "lines")
 
 
 def test_tokenize_lines_shared_table():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from lcseq.threshold import (
     BACKEND_NAMES,
     ArrayBackend,
-    OpCounters,
     RowCost,
     TreeBackend,
     VebBackend,
@@ -82,17 +81,16 @@ def test_max_examples(backend):
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_update_counters_same_for_every_backend(backend):
-    # one Succ and one Insert per update, one Delete per replacement, no Pred
+def test_update_returns_each_replaced_member(backend):
+    # update's non-None returns are the literal rule's replacements, one for one
     rng = random.Random(2024)
     stream = [rng.randint(1, 50) for _ in range(500)]
     ref: list[int] = []
-    replacements = sum(reference_update(ref, x) is not None for x in stream)
+    expected = [y for y in (reference_update(ref, x) for x in stream) if y is not None]
     ts = make_threshold_set(50, backend)
-    for x in stream:
-        ts.update(x)
-    n = len(stream)
-    assert ts.counters == OpCounters(succ=n, pred=0, insert=n, delete=replacements, update=n)
+    replaced = [y for y in map(ts.update, stream) if y is not None]
+    assert replaced == expected
+    assert ts.contents() == ref
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
