@@ -150,7 +150,7 @@ def run_bench(cases: list[BenchCase], repeats: int = 3) -> list[BenchRecord]:
                 if best_ns is None or wall < best_ns:
                     best_ns = wall
             if backend == "dp_oracle":
-                name, r, c = backend, _count(x, y, "auto")[1].r, OpCounters()
+                name, r, c = backend, _count(x, y, "auto")[0].r, OpCounters()
                 length = int(table[len(x.symbols)][len(y.symbols)])
             else:
                 # a record names the kernel `auto` ran; the checks key by the name asked for

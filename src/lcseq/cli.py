@@ -109,7 +109,7 @@ def cmd_subseq(args) -> int:
 
 def cmd_stats(args) -> int:
     x, y = _load_pair(args)
-    stats = _count(x, y, "auto")[1]  # R as `length` counts it, and no kernel's index
+    stats = _count(x, y, "auto")[0]  # R as `length` counts it, and no kernel's index
     _emit(stats, args.output, distinct_symbols=len(set(x.symbols) | set(y.symbols)))
     return EXIT_OK
 

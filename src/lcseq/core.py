@@ -1,8 +1,9 @@
 """LCS drivers: two kernels, the named threshold sets, reconstruction, the DP oracle.
 
 The length driver walks the first sequence row by row.  The default
-(``auto``) runs one of two stdlib kernels, picked by ``_choose_kernel``
-from R (which ``_count`` counts before any work), m and n:
+(``auto``) runs one of two stdlib kernels, picked by ``_plan`` with
+``_choose_kernel`` from R (which ``_count`` counts before any work), m
+and n:
 
 * ``bisect`` (``_threshold_rows``), the Hunt-Szymanski kernel.  It feeds
   each row's match columns, in strictly decreasing order, to a threshold
@@ -36,11 +37,14 @@ name of its form.  ``_count`` counts R with it: ``"cols"``, the column
 map; ``"masks"``, when x and y are both ``bytes`` (bytes mode), y's masks
 from its eight bit planes in C (``_byte_masks``) with R from their
 popcounts; or ``"lists"``, y's position lists and ``count_matches``.
-``_plan`` then makes the choice, checks the trace's cap once, and
+``_plan`` alone then picks the kernel, checks the trace's cap once, and
 converts the index at most once, where the chosen kernel reads the other
 form, so ``lcs_length`` and ``lcs_reconstruct`` see one index and one
 kernel; ``bitpar``'s pairs each mask with its complement.  The CLI's
 ``stats`` and ``bench`` run the count step alone, which builds neither.
+The kernels only sweep: the bisect kernel, its trace and the named sets
+read ``_match_rows``, each matching row's columns from the position
+lists, and none of them looks a token up in y's index.
 
 Reconstruction runs that kernel's trace builder:
 ``_bisect_trace`` and ``_distinct_trace`` record each match's
@@ -56,6 +60,8 @@ table serves as the independent oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import repeat
+from operator import contains
 
 from .matching import (
     MatchStats,
@@ -69,7 +75,7 @@ from .matching import (
 
 TYPE_CHECKING = False  # type checkers take this as true; no `typing` import on the default path
 if TYPE_CHECKING:
-    from collections.abc import Hashable
+    from collections.abc import Hashable, Iterable, Iterator
 
     import numpy as np
 
@@ -222,8 +228,13 @@ class LcsResult(_Record):
         self.trace = trace
 
 
-def _threshold_rows(symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]]) -> list[int]:
-    """Final threshold set S of the Hunt-Szymanski sweep, as a sorted list.
+def _match_rows(x: Sequence, lists: dict[Hashable, list[int]]) -> Iterator[list[int]]:
+    """The strictly decreasing match columns of each row of x that y matches, in row order."""
+    return filter(None, map(lists.get, x.symbols))
+
+
+def _threshold_rows(rows: Iterable[list[int]]) -> list[int]:
+    """Final threshold set S of the Hunt-Szymanski sweep over ``_match_rows``, as a sorted list.
 
     S[0] is a 0 sentinel and S[1..L] the set.  A row's columns arrive in
     decreasing order, so the slot k that took the previous column bounds
@@ -232,10 +243,7 @@ def _threshold_rows(symbols: tuple[Hashable, ...], lists: dict[Hashable, list[in
     can append.  After every row S[1:] equals ``ArrayBackend``'s contents.
     """
     s = [0]
-    for sym in symbols:
-        positions = lists.get(sym)
-        if positions is None:
-            continue
+    for positions in rows:
         k = len(s)
         for j in positions:
             if s[k - 1] >= j:
@@ -266,15 +274,18 @@ def _symbol_masks(
 _PLANES = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
 
-def _byte_masks(ys: bytes) -> dict[int, int]:
-    """``_symbol_masks`` for every byte of y, from y's eight bit planes.
+def _byte_masks(ys: bytes, keep: set[int] | None = None) -> dict[int, int]:
+    """``_symbol_masks`` for every byte of y, or only for the bytes in ``keep``, from y's bit planes.
 
     Plane b has bit j-1 set where y_j has bit b set: one ``translate`` and
     one ``int(..., 2)``, both in C.  Splitting the mask of all n columns by
     plane 7, each part by plane 6, and so on down to plane 0, dropping
     empty parts, leaves one mask per byte that y holds, keyed by the bits
     of the planes it took: a part's bits in the plane, and the rest of its
-    bits (``mask ^ one``), at most 256 ANDs and 256 XORs per plane.
+    bits (``mask ^ one``), at most 256 ANDs and 256 XORs per plane.  Given
+    ``keep``, each plane's split keeps only the parts whose key a kept byte
+    starts with, so at most len(keep) parts of n bits outlive a plane, and
+    3 * len(keep) are held while one splits.
     """
     if not ys:
         return {}
@@ -289,6 +300,9 @@ def _byte_masks(ys: bytes) -> dict[int, int]:
                 split[key | bit] = one
             if zero := mask ^ one:
                 split[key] = zero
+        if keep is not None:
+            live = {c >> b << b for c in keep}
+            split = {key: mask for key, mask in split.items() if key in live}
         masks = split
     return masks
 
@@ -347,54 +361,67 @@ def _check_cap(backend: str, stats: MatchStats, memory_cap: int) -> None:
 
 
 def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
-    str, MatchStats, str, list[int] | dict[Hashable, int] | dict[Hashable, list[int]]
+    MatchStats, str, list[int] | dict[Hashable, int] | dict[Hashable, list[int]]
 ]:
-    """R and the index that counted it; returns (backend, stats, form, index).
+    """R and the index that counted it; returns (stats, form, index).
 
     The one place in the package that counts R, with one index of y whose
     form names it.  Under ``auto``, a y of distinct tokens gives form
-    ``"cols"``, its ``column_map`` (R = len(cols)), and the backend
-    ``bisect``.  Otherwise, when x and y are both ``bytes``, ``auto`` and
-    ``bitpar`` get ``"masks"``, y's ``_byte_masks``, with R from their
-    popcounts; everything else gets ``"lists"``, y's position lists, with
-    R from ``count_matches``.  The masks are plain ints: ``_plan`` adds
-    bitpar's complements.  The backend is returned as given, ``auto``
-    included.
+    ``"cols"``, its ``column_map`` (R = len(cols)).  Otherwise, when x and
+    y are both ``bytes``, ``auto`` and ``bitpar`` get ``"masks"``, y's
+    ``_byte_masks``, with R from their popcounts; a short x (8m <= n) keeps
+    only the masks of its own bytes.  Everything else gets ``"lists"``, y's
+    position lists, with R from ``count_matches``.  The masks are plain
+    ints: ``_plan`` adds bitpar's complements.  The count picks no kernel.
     """
     xs = x.symbols
     ys = y.symbols
     if backend == "auto":
         cols = column_map(x, y)
         if cols is not None:
-            return "bisect", MatchStats(r=len(cols), n=len(ys), m=len(xs)), "cols", cols
+            return MatchStats(r=len(cols), n=len(ys), m=len(xs)), "cols", cols
     if backend in ("auto", "bitpar") and type(xs) is bytes and type(ys) is bytes:
-        masks = _byte_masks(ys)
+        # Keeping x's bytes costs set(x) and a filter per plane, and saves
+        # time only where x lacks bytes that y holds.  Where x holds them all
+        # (random sigma = 4 and 256 pairs, 2-core x86_64, Python 3.11.7,
+        # median of 11 interleaved best-of-3 pairs), this step and bitpar's
+        # complements took 9-22% longer at m = n for n = 65536 and 10^6
+        # (22-57% at n = 3072), and -2 to +9% at m = n/8.  Keeping them on
+        # every pair cost the near_bytes benchmark (m ~ n) 33% of its
+        # length_ms_p50.  On 10 random bytes against 10^6 it takes the
+        # peak from 65.8 to 4.9 MiB.
+        masks = _byte_masks(ys, set(xs) if 8 * len(xs) <= len(ys) else None)
         counts = [0] * 256
         for sym, mask in masks.items():
             counts[sym] = mask.bit_count()
         stats = MatchStats(r=sum(map(counts.__getitem__, xs)), n=len(ys), m=len(xs))
-        return backend, stats, "masks", masks
+        return stats, "masks", masks
     pl = build_position_lists(y)
-    return backend, count_matches(x, pl), "lists", pl.lists
+    return count_matches(x, pl), "lists", pl.lists
 
 
 def _plan(x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None) -> tuple[
     str, MatchStats, str, list[int] | dict[Hashable, tuple[int, int]] | dict[Hashable, list[int]]
 ]:
-    """Everything before a kernel runs; returns (backend, stats, form, index) as ``_count`` does.
+    """Everything before a kernel runs; returns (kernel, stats, form, index).
 
-    ``_count`` gives R, and ``auto`` then picks by ``_choose_kernel``
-    unless the count took the column map.  Given ``memory_cap``, the
+    The one place in the package that picks the kernel.  ``_count`` gives
+    R; form ``"cols"`` runs ``bisect``'s single-match rule, and ``auto``
+    otherwise picks by ``_choose_kernel``.  Given ``memory_cap``, the
     trace's cap is checked once R and the kernel are known, before any
     other index is built.  ``bitpar`` reads ``"masks"`` and every other
     kernel ``"lists"`` or ``"cols"``, so the index is converted at most
     once: to masks for ``bitpar`` from ``"lists"``, and to position lists
-    for any other kernel from ``"masks"``.  ``bitpar`` then gets each mask
-    M as (M, ~M), ~M its complement within the n columns: one more n-bit
-    int per mask, which makes a sigma = 256 row faster than ``V ^ (V & M)``.
+    for any other kernel from ``"masks"``.  The bisect sweeps and the named
+    sets read the lists through ``_match_rows``.  ``bitpar`` then gets each
+    mask M as (M, ~M), ~M its complement within the n columns: one more
+    n-bit int per mask, which makes a sigma = 256 row faster than
+    ``V ^ (V & M)``.
     """
-    backend, stats, form, index = _count(x, y, backend)
-    if backend == "auto":
+    stats, form, index = _count(x, y, backend)
+    if form == "cols":
+        backend = "bisect"
+    elif backend == "auto":
         backend = _choose_kernel(stats.r, stats.m, stats.n)
     if memory_cap is not None:
         _check_cap(backend, stats, memory_cap)
@@ -426,17 +453,14 @@ def lcs_length(
     if form == "cols":
         length = _distinct_rows(index)
     elif backend == "bisect":
-        length = len(_threshold_rows(x.symbols, index)) - 1
+        length = len(_threshold_rows(_match_rows(x, index))) - 1
     elif backend == "bitpar":
         length = _bitpar_rows(x.symbols, index, stats.n)
     else:
         from .threshold import make_threshold_set  # imported here: only a named set loads it
 
         ts = make_threshold_set(max(stats.n, 1), backend)
-        for sym in x.symbols:
-            positions = index.get(sym)
-            if not positions:
-                continue
+        for positions in _match_rows(x, index):
             ts.begin_row()
             for j in positions:
                 ts.update(j)
@@ -444,10 +468,10 @@ def lcs_length(
     return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend, row_costs)
 
 
-def _bisect_trace(
-    symbols: tuple[Hashable, ...], lists: dict[Hashable, list[int]], r: int
-) -> tuple[TraceTable, int, int]:
+def _bisect_trace(rows: Iterable[list[int]], r: int) -> tuple[TraceTable, int, int]:
     """Every match's record on the bisect kernel's slot rule; returns (trace, last match, L).
+
+    ``rows`` are ``_match_rows``, which hold the R matches.
 
     ``occ[k]`` is the match now in slot k of S: appended when S grows,
     overwritten when the slot is replaced, 0 for the sentinel S[0].  A
@@ -461,10 +485,7 @@ def _bisect_trace(
     occ = [0]
     m = 0
     s = [0]
-    for sym in symbols:
-        positions = lists.get(sym)
-        if positions is None:
-            continue
+    for positions in rows:
         k = len(s)
         for j in positions:
             m += 1
@@ -583,7 +604,8 @@ def lcs_reconstruct(
     ``bitpar`` by name would keep over ``BITPAR_WORDS_PER_MATCH * memory_cap`` row words
     (min(m, R) * ceil(n/64): rows without a match share one; ``auto`` never does).
     The planner checks the cap once it knows R, so the masks of a bytes pair
-    (at most 256 ints of n bits) come before the check, and no complement or row does.
+    (at most 256 ints of n bits, and only x's bytes when 8m <= n) come before the
+    check, and no complement or row does.
     """
     if memory_cap < 0:
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")
@@ -593,7 +615,7 @@ def lcs_reconstruct(
     if form == "cols":
         trace, last, length = _distinct_trace(index)
     elif backend == "bisect":
-        trace, last, length = _bisect_trace(x.symbols, index, stats.r)
+        trace, last, length = _bisect_trace(_match_rows(x, index), stats.r)
     else:
         trace, last, length = _bitpar_trace(x.symbols, y.symbols, index, stats.n)
     subseq = extract_lcs(trace, last, y)
@@ -646,9 +668,8 @@ def dp_oracle(x: Sequence, y: Sequence) -> np.ndarray:
 
 
 def is_subsequence(candidate: tuple[Hashable, ...], seq: Sequence) -> bool:
-    # `in` advances the shared iterator past the first match, in C
-    it = iter(seq.symbols)
-    return all(c in it for c in candidate)
+    # each `c in it` advances the shared iterator past the first match; the whole scan runs in C
+    return all(map(contains, repeat(iter(seq.symbols)), candidate))
 
 
 def validate_common_subsequence(

@@ -137,9 +137,9 @@ def run_cli_with_literal_guard(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def overcounting_kernel(symbols, lists, kernel=core._threshold_rows):
+def overcounting_kernel(rows, kernel=core._threshold_rows):
     """The bisect kernel with one member too many: it reports L + 1."""
-    s = kernel(symbols, lists)
+    s = kernel(rows)
     return s + [s[-1] + 1]
 
 

@@ -79,6 +79,20 @@ MUTANTS = [
         "delete=r",
         ["tests/test_core.py::test_kernel_rows_equal_array_backend"],
     ),
+    (
+        "M8: _match_rows keeps the rows that y does not match",
+        "lcseq/core.py",
+        "return filter(None, map(lists.get, x.symbols))",
+        "return map(lists.get, x.symbols)",
+        ["tests/test_core.py::test_kernel_rows_equal_array_backend"],
+    ),
+    (
+        "M9: _byte_masks prunes each plane's parts by the kept bytes' bits one plane short",
+        "lcseq/core.py",
+        "live = {c >> b << b for c in keep}",
+        "live = {c >> (b + 1) << (b + 1) for c in keep}",
+        ["tests/test_bytes.py::test_short_x_builds_masks_only_for_its_own_bytes"],
+    ),
 ]
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from lcseq.core import (
     KERNEL_NAMES,
+    OpCounters,
     dp_oracle,
     lcs_length,
     lcs_reconstruct,
@@ -25,6 +26,7 @@ from lcseq.core import (
 )
 from lcseq.matching import Sequence
 from lcseq.shadow import ShadowTracker, shadow_run
+from lcseq.threshold import VebBackend
 from lcseq.veb import VebTree
 
 from helpers import SortedSetOracle, run_cli_with_literal_guard
@@ -59,7 +61,6 @@ def test_criterion_1_exhaustive_equivalence():
                     assert res.length == expected, (backend, x.symbols, y.symbols)
                     if backend == "veb":
                         c = res.counters
-                        assert c.structure_total() <= 4 * res.stats.r
                         assert c.delete <= c.insert
                 pairs += 1
     elapsed = time.perf_counter() - start
@@ -75,9 +76,28 @@ class InstanceAudit:
     r: int
     l: int
     m: int
-    veb_counters: object
-    recon_counters: object
+    veb_counters: OpCounters
+    veb_calls: OpCounters
     row_costs: list
+
+
+def _counted_veb_length(x, y):
+    """``lcs_length(x, y, backend="veb")``, and the calls it made on its vEB tree and set."""
+    calls = dict.fromkeys(("succ", "pred", "insert", "delete", "update"), 0)
+
+    def counting(key, method):
+        def counted(self, arg):
+            calls[key] += 1
+            return method(self, arg)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        for key, cls, name in (("succ", VebTree, "successor"), ("pred", VebTree, "predecessor"),
+                               ("insert", VebTree, "insert"), ("delete", VebTree, "delete"),
+                               ("update", VebBackend, "update")):
+            patch.setattr(cls, name, counting(key, getattr(cls, name)))
+        res = lcs_length(x, y, backend="veb")
+    return res, OpCounters(**calls)
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +117,11 @@ def random_corpus():
         x = Sequence(tuple(rng.randrange(sigma) for _ in range(m)))
         y = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
         expected = int(dp_oracle(x, y)[m][n])
-        lengths = {}
-        results = {}
-        for backend in ("veb", "tree", "array", *KERNEL_NAMES):
-            res = lcs_length(x, y, backend=backend)
-            lengths[backend] = res.length
-            results[backend] = res
+        veb, veb_calls = _counted_veb_length(x, y)
+        results = {"veb": veb}
+        for backend in ("tree", "array", *KERNEL_NAMES):
+            results[backend] = lcs_length(x, y, backend=backend)
+        lengths = {backend: res.length for backend, res in results.items()}
         # both reconstruction paths, whichever `auto` would pick
         for kernel in KERNEL_NAMES:
             recon = lcs_reconstruct(x, y, backend=kernel)
@@ -115,7 +134,7 @@ def random_corpus():
                 l=expected,
                 m=m,
                 veb_counters=results["veb"].counters,
-                recon_counters=recon.counters,
+                veb_calls=veb_calls,
                 row_costs=results["array"].row_costs or [],
             )
         )
@@ -169,12 +188,15 @@ def test_criterion_4_fact_suite():
 
 
 def test_criterion_5_veb_operation_accounting(random_corpus):
+    # the calls counted on the vEB tree itself, not the counters derived from R and L
     audits, _ = random_corpus
     for audit in audits:
-        for c in (audit.veb_counters, audit.recon_counters):
-            assert c.succ + c.delete + c.insert + c.pred <= 4 * audit.r
-            assert c.delete <= c.insert
-    report(5, f"{len(audits)} instances, ops <= 4R and deletes <= inserts")
+        c = audit.veb_calls
+        assert c == audit.veb_counters
+        assert c.update == audit.r
+        assert c.succ + c.delete + c.insert + c.pred <= 4 * audit.r
+        assert c.delete <= c.insert
+    report(5, f"{len(audits)} instances, counted vEB calls equal the counters, ops <= 4R")
 
 
 def test_criterion_6_array_comparison_accounting(random_corpus):

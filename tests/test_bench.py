@@ -89,9 +89,6 @@ def test_run_bench_agreement_and_counters():
         assert len({r.L for r in recs}) == 1
         assert len({r.R for r in recs}) == 1
         for r in recs:
-            total = r.ops_succ + r.ops_pred + r.ops_insert + r.ops_delete
-            if r.backend == "veb":
-                assert total <= 4 * r.R + 2
             if r.backend != "dp_oracle":
                 assert r.ops_update == r.R
 

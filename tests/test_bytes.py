@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,31 @@ def test_byte_masks_equal_position_list_masks(n, sigma):
     expected = _symbol_masks(tuple(ys), build_position_lists(Sequence(tuple(ys))).lists)
     assert set(expected) == set(ys)
     assert _byte_masks(ys) == expected
+    keep = set(rng.sample(range(256), 5)) | set(ys[:2])  # bytes of y and bytes it lacks
+    assert _byte_masks(ys, keep) == {c: m for c, m in expected.items() if c in keep}
+
+
+def test_short_x_builds_masks_only_for_its_own_bytes():
+    # 8m <= n: the count step keeps only x's bytes, so neither entry point holds a mask of
+    # n bits for each of y's 256 byte values (65.8 and 67.0 MiB when it did)
+    rng = random.Random(10)
+    raw_x, raw_y = rng.randbytes(10), rng.randbytes(10**6)
+    bx, by = tokenize(raw_x, "bytes"), tokenize(raw_y, "bytes")
+    results = []
+    for run in (lcs_length, lcs_reconstruct):
+        tracemalloc.start()
+        try:
+            results.append(run(bx, by))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, (run.__name__, peak)
+    length, recon = results
+    ref = lcs_reconstruct(Sequence(tuple(raw_x)), Sequence(tuple(raw_y)))
+    assert ref.backend == "bitpar"
+    for res in (length, recon):
+        assert (res.length, res.stats, res.backend) == (ref.length, ref.stats, ref.backend)
+    assert recon.subsequence == ref.subsequence
 
 
 def test_bitpar_rows_count_carries_above_bit_n():
