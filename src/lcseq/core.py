@@ -35,7 +35,8 @@ derives its index from (x, y) and checks its arguments before building it.
 Two steps run before a kernel, and each hands over one index with the
 name of its form.  ``_count`` counts R with it: ``"cols"``, the column
 map; ``"masks"``, when x and y are both ``bytes`` (bytes mode), y's masks
-from its eight bit planes in C (``_byte_masks``) with R from their
+of the bytes x holds, from its eight bit planes in C once the bytes x
+lacks are folded into one (``_byte_masks``), with R from their
 popcounts; or ``"lists"``, y's position lists and ``count_matches``.
 ``_plan`` alone then picks the kernel, checks the trace's cap once, and
 converts the index at most once, where the chosen kernel reads the other
@@ -272,24 +273,28 @@ def _symbol_masks(
 # _PLANES[b] maps each byte to b"1" where its bit b is set and to b"0" elsewhere:
 # runs of 2^b zeros and 2^b ones
 _PLANES = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+_BYTES = bytes(range(256))
 
 
-def _byte_masks(ys: bytes, keep: set[int] | None = None) -> dict[int, int]:
-    """``_symbol_masks`` for every byte of y, or only for the bytes in ``keep``, from y's bit planes.
+def _byte_masks(xs: bytes, ys: bytes) -> dict[int, int]:
+    """``_symbol_masks`` from y's bit planes: one mask for each byte that x and y share.
 
-    Plane b has bit j-1 set where y_j has bit b set: one ``translate`` and
-    one ``int(..., 2)``, both in C.  Splitting the mask of all n columns by
-    plane 7, each part by plane 6, and so on down to plane 0, dropping
-    empty parts, leaves one mask per byte that y holds, keyed by the bits
-    of the planes it took: a part's bits in the plane, and the rest of its
-    bits (``mask ^ one``), at most 256 ANDs and 256 XORs per plane.  Given
-    ``keep``, each plane's split keeps only the parts whose key a kept byte
-    starts with, so at most len(keep) parts of n bits outlive a plane, and
-    3 * len(keep) are held while one splits.
+    First one ``translate`` folds every byte of y that x lacks into one of
+    them, the first byte value x lacks, whose mask is dropped at the end.
+    Plane b has bit j-1 set where the folded y_j has bit b set: one
+    ``translate`` and one ``int(..., 2)``, both in C.  Splitting the mask of
+    all n columns by plane 7, each part by plane 6, and so on down to plane
+    0, dropping empty parts, leaves one mask per byte value of the folded y,
+    keyed by the bits of the planes it took: a part's bits in the plane, and
+    the rest of its bits (``mask ^ one``).  With k shared bytes, at most
+    k + 1 parts of up to n bits outlive a plane, and twice that and the
+    plane are held while one splits.
     """
     if not ys:
         return {}
-    rev = ys[::-1]  # int() reads the last column first
+    lost = _BYTES.translate(None, xs)  # the byte values x lacks
+    fold = bytes.maketrans(lost, lost[:1] * len(lost))
+    rev = ys[::-1].translate(fold)  # int() reads the last column first
     masks = {0: (1 << len(ys)) - 1}
     for b in range(7, -1, -1):
         plane = int(rev.translate(_PLANES[b]), 2)
@@ -300,10 +305,9 @@ def _byte_masks(ys: bytes, keep: set[int] | None = None) -> dict[int, int]:
                 split[key | bit] = one
             if zero := mask ^ one:
                 split[key] = zero
-        if keep is not None:
-            live = {c >> b << b for c in keep}
-            split = {key: mask for key, mask in split.items() if key in live}
         masks = split
+    if lost:
+        masks.pop(lost[0], None)
     return masks
 
 
@@ -369,10 +373,10 @@ def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
     form names it.  Under ``auto``, a y of distinct tokens gives form
     ``"cols"``, its ``column_map`` (R = len(cols)).  Otherwise, when x and
     y are both ``bytes``, ``auto`` and ``bitpar`` get ``"masks"``, y's
-    ``_byte_masks``, with R from their popcounts; a short x (8m <= n) keeps
-    only the masks of its own bytes.  Everything else gets ``"lists"``, y's
-    position lists, with R from ``count_matches``.  The masks are plain
-    ints: ``_plan`` adds bitpar's complements.  The count picks no kernel.
+    ``_byte_masks``, one per byte x and y share, with R from their
+    popcounts.  Everything else gets ``"lists"``, y's position lists, with
+    R from ``count_matches``.  The masks are plain ints: ``_plan`` adds
+    bitpar's complements.  The count picks no kernel.
     """
     xs = x.symbols
     ys = y.symbols
@@ -381,16 +385,7 @@ def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
         if cols is not None:
             return MatchStats(r=len(cols), n=len(ys), m=len(xs)), "cols", cols
     if backend in ("auto", "bitpar") and type(xs) is bytes and type(ys) is bytes:
-        # Keeping x's bytes costs set(x) and a filter per plane, and saves
-        # time only where x lacks bytes that y holds.  Where x holds them all
-        # (random sigma = 4 and 256 pairs, 2-core x86_64, Python 3.11.7,
-        # median of 11 interleaved best-of-3 pairs), this step and bitpar's
-        # complements took 9-22% longer at m = n for n = 65536 and 10^6
-        # (22-57% at n = 3072), and -2 to +9% at m = n/8.  Keeping them on
-        # every pair cost the near_bytes benchmark (m ~ n) 33% of its
-        # length_ms_p50.  On 10 random bytes against 10^6 it takes the
-        # peak from 65.8 to 4.9 MiB.
-        masks = _byte_masks(ys, set(xs) if 8 * len(xs) <= len(ys) else None)
+        masks = _byte_masks(xs, ys)
         counts = [0] * 256
         for sym, mask in masks.items():
             counts[sym] = mask.bit_count()
@@ -413,10 +408,10 @@ def _plan(x: Sequence, y: Sequence, backend: str, memory_cap: int | None = None)
     kernel ``"lists"`` or ``"cols"``, so the index is converted at most
     once: to masks for ``bitpar`` from ``"lists"``, and to position lists
     for any other kernel from ``"masks"``.  The bisect sweeps and the named
-    sets read the lists through ``_match_rows``.  ``bitpar`` then gets each
-    mask M as (M, ~M), ~M its complement within the n columns: one more
-    n-bit int per mask, which makes a sigma = 256 row faster than
-    ``V ^ (V & M)``.
+    sets read the lists through ``_match_rows``.  ``bitpar`` then gets the
+    mask M of each symbol x and y share as (M, ~M), ~M its complement
+    within the n columns: one more n-bit int per mask, which makes a
+    sigma = 256 row faster than ``V ^ (V & M)``.
     """
     stats, form, index = _count(x, y, backend)
     if form == "cols":
@@ -604,8 +599,8 @@ def lcs_reconstruct(
     ``bitpar`` by name would keep over ``BITPAR_WORDS_PER_MATCH * memory_cap`` row words
     (min(m, R) * ceil(n/64): rows without a match share one; ``auto`` never does).
     The planner checks the cap once it knows R, so the masks of a bytes pair
-    (at most 256 ints of n bits, and only x's bytes when 8m <= n) come before the
-    check, and no complement or row does.
+    (one int of n bits per byte x and y share) come before the check, and no
+    complement or row does.
     """
     if memory_cap < 0:
         raise ValueError(f"memory_cap must be non-negative, got {memory_cap}")

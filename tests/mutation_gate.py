@@ -87,11 +87,11 @@ MUTANTS = [
         ["tests/test_core.py::test_kernel_rows_equal_array_backend"],
     ),
     (
-        "M9: _byte_masks prunes each plane's parts by the kept bytes' bits one plane short",
+        "M9: _byte_masks keeps the folded byte's mask",
         "lcseq/core.py",
-        "live = {c >> b << b for c in keep}",
-        "live = {c >> (b + 1) << (b + 1) for c in keep}",
-        ["tests/test_bytes.py::test_short_x_builds_masks_only_for_its_own_bytes"],
+        "masks.pop(lost[0], None)",
+        "pass",
+        ["tests/test_bytes.py::test_byte_masks_equal_position_list_masks"],
     ),
 ]
 

@@ -59,9 +59,6 @@ def test_criterion_1_exhaustive_equivalence():
                 for backend in ("veb", "tree", "array", *KERNEL_NAMES):
                     res = lcs_length(x, y, backend=backend)
                     assert res.length == expected, (backend, x.symbols, y.symbols)
-                    if backend == "veb":
-                        c = res.counters
-                        assert c.delete <= c.insert
                 pairs += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30, f"criterion 1 exceeded budget: {elapsed:.1f}s"

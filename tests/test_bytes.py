@@ -133,14 +133,14 @@ def test_byte_masks_equal_position_list_masks(n, sigma):
     ys = bytes(rng.choice(alphabet) for _ in range(n))
     expected = _symbol_masks(tuple(ys), build_position_lists(Sequence(tuple(ys))).lists)
     assert set(expected) == set(ys)
-    assert _byte_masks(ys) == expected
+    assert _byte_masks(ys, ys) == expected
     keep = set(rng.sample(range(256), 5)) | set(ys[:2])  # bytes of y and bytes it lacks
-    assert _byte_masks(ys, keep) == {c: m for c, m in expected.items() if c in keep}
+    assert _byte_masks(bytes(keep), ys) == {c: m for c, m in expected.items() if c in keep}
 
 
 def test_short_x_builds_masks_only_for_its_own_bytes():
-    # 8m <= n: the count step keeps only x's bytes, so neither entry point holds a mask of
-    # n bits for each of y's 256 byte values (65.8 and 67.0 MiB when it did)
+    # the count step folds the bytes x lacks into one, so neither entry point holds a mask
+    # of n bits for each of y's 256 byte values (65.8 and 67.0 MiB when it did)
     rng = random.Random(10)
     raw_x, raw_y = rng.randbytes(10), rng.randbytes(10**6)
     bx, by = tokenize(raw_x, "bytes"), tokenize(raw_y, "bytes")
