@@ -16,13 +16,16 @@ and n:
   update it, so the run is O(m * ceil(n/64)) word operations whatever
   R is.  It wins where rows have many matches (small alphabets).
 
-When every token of y is distinct, each row has at most one match, and
-``auto`` needs no position lists: ``column_map`` gives the matched rows'
-columns from one dict built in C, R is their count, and the sweep is the
-single-match slot rule (Hunt and Szymanski 1977 reduce to a longest
-increasing subsequence of the columns), reported as ``bisect``, the
-rule's pick since R <= m.  ``bisect`` by name runs the position-list
+When every token of a tuple y is distinct, each row has at most one
+match, and ``auto`` needs no position lists: ``column_map`` gives the
+matched rows' columns from one dict built in C, R is their count, and the
+sweep is the single-match slot rule (Hunt and Szymanski 1977 reduce to a
+longest increasing subsequence of the columns), reported as ``bisect``,
+the rule's pick since R <= m.  ``bisect`` by name runs the position-list
 kernel.  ``column_map`` rules the path out in O(1) when y repeats early.
+A bytes pair never takes it: its masks count R first, and a y of
+distinct bytes then gets ``bisect`` over position lists, whose trace
+holds the same records.
 
 A named backend (``BACKEND_NAMES``: ``veb``, ``tree``, ``array``) runs
 the ``ThresholdSet`` that ``lcseq.threshold`` builds, imported only
@@ -33,11 +36,12 @@ come from R and L by ``_kernel_counters``.
 derives its index from (x, y) and checks its arguments before building it.
 
 Two steps run before a kernel, and each hands over one index with the
-name of its form.  ``_count`` counts R with it: ``"cols"``, the column
-map; ``"masks"``, when x and y are both ``bytes`` (bytes mode), y's masks
-of the bytes x holds, from its eight bit planes in C once the bytes x
-lacks are folded into one (``_byte_masks``), with R from their
-popcounts; or ``"lists"``, y's position lists and ``count_matches``.
+name of its form.  ``_count`` counts R with it: ``"masks"``, when x and
+y are both ``bytes`` (bytes mode), y's masks of the bytes x holds, from
+its eight bit planes in C once the bytes x lacks are folded into one
+(``_byte_masks``), with R from their popcounts; ``"cols"``, the column
+map of a tuple y; or ``"lists"``, y's position lists and
+``count_matches``.
 ``_plan`` alone then picks the kernel, checks the trace's cap once, and
 converts the index at most once, where the chosen kernel reads the other
 form, so ``lcs_length`` and ``lcs_reconstruct`` see one index and one
@@ -50,8 +54,9 @@ lists, and none of them looks a token up in y's index.
 Reconstruction runs that kernel's trace builder:
 ``_bisect_trace`` and ``_distinct_trace`` record each match's
 predecessor and column (O(R) space), reading the predecessor from one
-occupant per slot of S; ``_bitpar_trace`` keeps the rows
-and walks back the L-column chain in at most m + n steps.  Where ``auto`` picks ``bitpar`` its rows
+occupant per slot of S; ``_bitpar_trace`` keeps the rows that
+``_bitpar_rows`` hands back, so the row update exists once, and walks
+back the L-column chain in at most m + n steps.  Where ``auto`` picks ``bitpar`` its rows
 hold fewer than ``BITPAR_WORDS_PER_MATCH * R`` 64-bit words, and by name
 at most that many times the cap, both known before the work starts.
 ``extract_lcs`` reads either trace back in O(L).  A dense Wagner-Fischer
@@ -312,13 +317,18 @@ def _byte_masks(xs: bytes, ys: bytes) -> dict[int, int]:
 
 
 def _bitpar_rows(
-    symbols: tuple[Hashable, ...] | bytes, masks: dict[Hashable, tuple[int, int]], n: int
+    symbols: tuple[Hashable, ...] | bytes,
+    masks: dict[Hashable, tuple[int, int]],
+    n: int,
+    rows: list[int] | None = None,
 ) -> int:
     """LCS length by the bit-parallel row update; L is the count of 0 bits of V below bit n.
 
     V' = (V + (V & M)) | (V & ~M), reading each symbol's (M, ~M) from
     ``_plan``.  Nothing clears V's bits from bit n up: they count the
     carries out of bit n-1, at most one per row, and no mask reaches them.
+    Given a list, ``rows`` gets V after every row of x, so a caller that
+    starts it with V_0 holds V_0..V_m (rows without a match share an int).
     """
     full = (1 << n) - 1
     v = full
@@ -327,6 +337,8 @@ def _bitpar_rows(
         if pair is not None:
             mask, rest = pair
             v = (v + (v & mask)) | (v & rest)
+        if rows is not None:
+            rows.append(v)
     return n - (v & full).bit_count()
 
 
@@ -370,20 +382,17 @@ def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
     """R and the index that counted it; returns (stats, form, index).
 
     The one place in the package that counts R, with one index of y whose
-    form names it.  Under ``auto``, a y of distinct tokens gives form
-    ``"cols"``, its ``column_map`` (R = len(cols)).  Otherwise, when x and
-    y are both ``bytes``, ``auto`` and ``bitpar`` get ``"masks"``, y's
-    ``_byte_masks``, one per byte x and y share, with R from their
-    popcounts.  Everything else gets ``"lists"``, y's position lists, with
-    R from ``count_matches``.  The masks are plain ints: ``_plan`` adds
-    bitpar's complements.  The count picks no kernel.
+    form names it.  When x and y are both ``bytes``, ``auto`` and
+    ``bitpar`` get ``"masks"`` first, y's ``_byte_masks``, one per byte x
+    and y share, with R from their popcounts; so the column map serves
+    tuple inputs only.  Otherwise, under ``auto``, a y of distinct tokens
+    gives form ``"cols"``, its ``column_map`` (R = len(cols)).  Everything
+    else gets ``"lists"``, y's position lists, with R from
+    ``count_matches``.  The masks are plain ints: ``_plan`` adds bitpar's
+    complements.  The count picks no kernel.
     """
     xs = x.symbols
     ys = y.symbols
-    if backend == "auto":
-        cols = column_map(x, y)
-        if cols is not None:
-            return MatchStats(r=len(cols), n=len(ys), m=len(xs)), "cols", cols
     if backend in ("auto", "bitpar") and type(xs) is bytes and type(ys) is bytes:
         masks = _byte_masks(xs, ys)
         counts = [0] * 256
@@ -391,6 +400,10 @@ def _count(x: Sequence, y: Sequence, backend: str) -> tuple[
             counts[sym] = mask.bit_count()
         stats = MatchStats(r=sum(map(counts.__getitem__, xs)), n=len(ys), m=len(xs))
         return stats, "masks", masks
+    if backend == "auto":
+        cols = column_map(x, y)
+        if cols is not None:
+            return MatchStats(r=len(cols), n=len(ys), m=len(xs)), "cols", cols
     pl = build_position_lists(y)
     return count_matches(x, pl), "lists", pl.lists
 
@@ -533,8 +546,8 @@ def _bitpar_trace(
 ) -> tuple[TraceTable, int, int]:
     """The LCS chain from the stored bitpar rows; returns (trace, last match, L).
 
-    The rows are ``_bitpar_rows``'s, from the same (mask, complement)
-    pairs.  With V_i the row after x_i, the DP value D[i][j] is j minus
+    ``_bitpar_rows`` hands back the rows V_1..V_m after V_0, all n bits
+    set, and L.  With V_i the row after x_i, the DP value D[i][j] is j minus
     the 1 bits of V_i below bit j; bit j-1 is 1 exactly where
     D[i][j-1] = D[i][j].  The walk reads no bit from n up,
     where V_i counts carries.
@@ -555,17 +568,8 @@ def _bitpar_trace(
     So the walk reads only V_i, one bit per step and one bit length per
     left jump, and does no popcount.
     """
-    full = (1 << n) - 1
-    v = full
-    rows = [v]
-    append = rows.append
-    for sym in symbols:
-        pair = masks.get(sym)
-        if pair is not None:
-            mask, rest = pair
-            v = (v + (v & mask)) | (v & rest)
-        append(v)
-    length = n - (v & full).bit_count()
+    rows = [(1 << n) - 1]
+    length = _bitpar_rows(symbols, masks, n, rows)
     cols = [0] * (length + 1)
     k = length
     i = len(symbols)

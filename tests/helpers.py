@@ -153,9 +153,9 @@ def run_cli_with_overcounting_kernel(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def overcounting_bitpar(symbols, masks, n, kernel=core._bitpar_rows):
-    """The bit-parallel length kernel, reporting L + 1."""
-    return kernel(symbols, masks, n) + 1
+def overcounting_bitpar(symbols, masks, n, rows=None, kernel=core._bitpar_rows):
+    """The bit-parallel length kernel, reporting L + 1 where it runs for a length alone (no ``rows``)."""
+    return kernel(symbols, masks, n, rows) + (rows is None)
 
 
 def run_cli_with_overcounting_bitpar(*args: str) -> subprocess.CompletedProcess:

@@ -29,6 +29,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# _count's bytes-mode block and its column-map block, which M11 swaps
+_COUNT_MASKS = """\
+    if backend in ("auto", "bitpar") and type(xs) is bytes and type(ys) is bytes:
+        masks = _byte_masks(xs, ys)
+        counts = [0] * 256
+        for sym, mask in masks.items():
+            counts[sym] = mask.bit_count()
+        stats = MatchStats(r=sum(map(counts.__getitem__, xs)), n=len(ys), m=len(xs))
+        return stats, "masks", masks
+"""
+_COUNT_COLS = """\
+    if backend == "auto":
+        cols = column_map(x, y)
+        if cols is not None:
+            return MatchStats(r=len(cols), n=len(ys), m=len(xs)), "cols", cols
+"""
+
 MUTANTS = [
     (
         "M1: the array scan restarts on s[k + 1] < x",
@@ -92,6 +109,25 @@ MUTANTS = [
         "masks.pop(lost[0], None)",
         "pass",
         ["tests/test_bytes.py::test_byte_masks_equal_position_list_masks"],
+    ),
+    (
+        "M10: _bitpar_rows keeps a row only where x_i has a mask",
+        "lcseq/core.py",
+        "            v = (v + (v & mask)) | (v & rest)\n"
+        "        if rows is not None:\n"
+        "            rows.append(v)\n",
+        "            v = (v + (v & mask)) | (v & rest)\n"
+        "            if rows is not None:\n"
+        "                rows.append(v)\n",
+        ["tests/test_core.py::test_bitpar_walk_vs_oracle",
+         "tests/test_core.py::test_bitpar_rows_hand_back_the_array_set"],
+    ),
+    (
+        "M11: _count tries the column map before the bytes masks",
+        "lcseq/core.py",
+        _COUNT_MASKS + _COUNT_COLS,
+        _COUNT_COLS + _COUNT_MASKS,
+        ["tests/test_bytes.py::test_bytes_pairs_never_take_the_column_map"],
     ),
 ]
 

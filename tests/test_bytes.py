@@ -1,7 +1,6 @@
 """bytes mode: tokens kept as ``bytes``, y's masks from its bit planes, R from their popcounts."""
 
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -12,7 +11,6 @@ from lcseq import core
 from lcseq.core import (
     KERNEL_NAMES,
     ReconstructionCapError,
-    _bitpar_trace,
     _byte_masks,
     _symbol_masks,
     dp_oracle,
@@ -102,6 +100,34 @@ def test_bytes_bisect_choice_builds_lists_but_counts_r_from_masks(monkeypatch):
     assert built == [y]
 
 
+def test_bytes_pairs_never_take_the_column_map(monkeypatch):
+    # the masks count every bytes pair under auto and bitpar, and the other backends
+    # count with position lists; tuple pairs still take the column map
+    def column_map(x, y, _build=core.column_map):
+        if type(x.symbols) is bytes and type(y.symbols) is bytes:
+            raise AssertionError("a bytes pair reached the column map")
+        return _build(x, y)
+
+    monkeypatch.setattr(core, "column_map", column_map)
+    rng = random.Random(29)
+    distinct = [bytes(rng.sample(range(256), k)) for k in (1, 64, 65, 200, 256)]
+    pairs = [_pair(rng, SIGMAS[idx % 5], idx // 5 % 5) for idx in range(50)]
+    pairs += [(rng.randbytes(rng.randint(0, 300)), ys) for ys in distinct]
+    for raw_x, raw_y in pairs:
+        x, y = tokenize(raw_x, "bytes"), tokenize(raw_y, "bytes")
+        for backend in core.LENGTH_BACKENDS:
+            core._count(x, y, backend)
+            lcs_length(x, y, backend=backend)
+        for backend in BACKENDS:
+            lcs_reconstruct(x, y, backend=backend)
+    # a y of 200 distinct byte values: R <= m, so the masks' R gives bisect over position lists
+    raw_x, raw_y = rng.randbytes(300), distinct[3]
+    x, y = tokenize(raw_x, "bytes"), tokenize(raw_y, "bytes")
+    kernel, stats, form, _ = core._plan(x, y, "auto")
+    assert (kernel, form) == ("bisect", "lists") and stats.r <= stats.m
+    _check_same_as_tuples(raw_x, raw_y)
+
+
 def test_mixed_bytes_and_tuple_pair(monkeypatch):
     # tokens 97 from a bytes and 97 from a tuple are equal, but only an
     # all-bytes pair takes the bit-plane path
@@ -163,26 +189,15 @@ def test_short_x_builds_masks_only_for_its_own_bytes():
 
 def test_bitpar_rows_count_carries_above_bit_n():
     """After row i, V >> n <= i, and V's bits below n are the masked update's row."""
-    code = _bitpar_trace.__code__
-    seen = []
-
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code is code:
-            seen.append(frame.f_locals["rows"])
-
     rng = random.Random(2004)
     carries = 0
     for idx in range(300):
         raw_x, raw_y = _pair(rng, SIGMAS[idx % 5], idx // 5 % 5)
         n = len(raw_y)
         index = core._plan(Sequence(raw_x), Sequence(raw_y), "bitpar")[3]
-        sys.setprofile(profile)
-        try:
-            _bitpar_trace(raw_x, raw_y, index, n)
-        finally:
-            sys.setprofile(None)
-        rows = seen.pop()
         full = (1 << n) - 1
+        rows = [full]  # the rows that the trace walks
+        core._bitpar_rows(raw_x, index, n, rows)
         v = full
         for i, row in enumerate(rows):
             if i:

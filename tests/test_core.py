@@ -160,6 +160,31 @@ def test_kernel_rows_equal_array_backend():
         assert lcs_reconstruct(x, y).counters == replayed, idx
 
 
+def test_bitpar_rows_hand_back_the_array_set():
+    """The rows that ``_bitpar_rows`` appends: after row i, V's zero bits below n are S_i."""
+    rng = random.Random(29)
+    for idx in range(3000):
+        kind, sigma = (bytes, tuple)[idx % 2], (1, 2, 3, 4, 26, 256)[idx // 2 % 6]
+        alphabet = rng.sample(range(256), sigma)
+        x = Sequence(kind(rng.choice(alphabet) for _ in range(rng.randint(0, 40))))
+        y = Sequence(kind(rng.choice(alphabet) for _ in range(rng.randint(0, 40))))
+        n = len(y)
+        pairs = core._plan(x, y, "bitpar")[3]
+        rows = [(1 << n) - 1]
+        length = core._bitpar_rows(x.symbols, pairs, n, rows)
+        assert len(rows) == len(x) + 1, idx
+        lists = build_position_lists(y).lists
+        ts = ArrayBackend(max(n, 1))
+        for i in range(len(x) + 1):
+            if i:
+                ts.begin_row()
+                for j in lists.get(x.symbols[i - 1], ()):
+                    ts.update(j)
+            assert [j for j in range(1, n + 1) if not rows[i] >> (j - 1) & 1] == ts.contents(), (
+                idx, i)
+        assert length == ts.size(), idx
+
+
 def test_vector_scan_examples():
     def scan(a, b):
         return lcs_length(from_text(a), from_text(b), backend="array").length
@@ -471,7 +496,7 @@ def test_bitpar_walk_steps_are_linear():
     code = _bitpar_trace.__code__
 
     def run(x, y):
-        budget = 8 * (2 * len(x) + len(y)) + 64  # line events, forward pass included
+        budget = 8 * (len(x) + len(y)) + 64  # line events of the walk; _bitpar_rows sweeps x
         lines = 0
 
         def local(frame, event, arg):
@@ -714,7 +739,9 @@ def test_hypothesis_plan_converts_at_most_once(pair):
     x, y = pair
     lists = build_position_lists(y).lists
     shared = set(x.symbols).intersection(lists)
-    distinct = len(lists) == len(y)
+    # a bytes pair counts with its masks, so only other pairs reach the column map
+    bytes_pair = type(x.symbols) is bytes and type(y.symbols) is bytes
+    distinct = len(lists) == len(y) and not bytes_pair
     for backend in ("auto", "bisect", "bitpar", "veb"):
         calls = dict.fromkeys(_INDEX_BUILDERS, 0)
         with pytest.MonkeyPatch.context() as mp:
@@ -756,7 +783,8 @@ def test_distinct_y_builds_no_position_lists(monkeypatch):
     def refuse(*args):
         raise AssertionError("the distinct-y path built position lists")
 
-    x, y = from_text("abcbdab"), from_text("bdca")
+    # tuple sequences: a bytes pair counts R with its masks, not the column map
+    x, y = Sequence(tuple(b"abcbdab")), Sequence(tuple(b"bdca"))
     # `bisect` by name is the position-list kernel, whatever y is
     built = []
     monkeypatch.setattr(core, "build_position_lists",
@@ -799,7 +827,7 @@ def test_one_repeat_past_the_prefix_takes_general_path():
 
 def test_distinct_y_cap_checked_before_the_trace(monkeypatch):
     monkeypatch.setattr(core, "_distinct_trace", None)  # a call would raise TypeError
-    x, y = from_text("abcabc"), from_text("cab")
+    x, y = Sequence(tuple(b"abcabc")), Sequence(tuple(b"cab"))  # tuples take the column map
     with pytest.raises(ReconstructionCapError) as exc:
         lcs_reconstruct(x, y, memory_cap=5)
     assert exc.value.r == 6
