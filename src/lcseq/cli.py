@@ -17,7 +17,12 @@ skipped sets.
 ``verify`` and ``bench`` import the shadow checker and the benchmark
 harness when they run.
 ``main`` builds the parser on its first call and reuses it for the rest
-of the process.
+of the process. When argv[0] names a subcommand, ``main`` hands argv[1:]
+straight to that subcommand's parser, which is all the full parser would
+do with it; the full ``build_parser().parse_args(argv)`` runs only when
+argv[0] names no subcommand or the subcommand's parser leaves arguments
+over, so help and usage errors print as they always have. A closed
+standard input (for ``-``) or standard output is an I/O error (exit 2).
 """
 
 from __future__ import annotations
@@ -56,8 +61,10 @@ def _read_input(path: str, allow_stdin: bool) -> bytes:
     if path == "-":
         if not allow_stdin:
             raise OSError("'-' (standard input) is only allowed for the first input")
+        if sys.stdin is None:  # fd 0 closed at start-up
+            raise OSError("standard input is closed")
         return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:  # read() is one readall; a buffer adds only set-up
         return fh.read()
 
 
@@ -202,13 +209,14 @@ def _bench_backends(text: str) -> tuple[str, ...]:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``lcseq`` parser, built once per process; parsing leaves it unchanged."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``lcseq`` parser and its subcommands' parsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lcseq",
         description="Longest common subsequence via threshold sets.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subparsers = {}
 
     def add_inputs(p):
         p.add_argument("inputs", nargs=2, metavar="INPUT",
@@ -228,29 +236,30 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{BITPAR_WORDS_PER_MATCH}R 64-bit words ({BITPAR_WORDS_PER_MATCH} "
                             "times the cap where verify names bitpar, else exit 3)")
 
-    p = sub.add_parser("length", help="LCS length")
+    p = subparsers["length"] = sub.add_parser("length", help="LCS length")
     add_inputs(p)
     add_output(p)
     p.add_argument("--backend", choices=LENGTH_BACKENDS, default="auto")
     p.set_defaults(func=cmd_length)
 
-    p = sub.add_parser("subseq", help="print one LCS")
+    p = subparsers["subseq"] = sub.add_parser("subseq", help="print one LCS")
     add_inputs(p)
     add_output(p)
     add_memory_cap(p)
     p.set_defaults(func=cmd_subseq)
 
-    p = sub.add_parser("stats", help="sequence and match statistics")
+    p = subparsers["stats"] = sub.add_parser("stats", help="sequence and match statistics")
     add_inputs(p)
     add_output(p)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("verify", help="cross-check all backends and invariants")
+    p = subparsers["verify"] = sub.add_parser("verify",
+                                              help="cross-check all backends and invariants")
     add_inputs(p)
     add_memory_cap(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="run the benchmark suite")
+    p = subparsers["bench"] = sub.add_parser("bench", help="run the benchmark suite")
     add_output(p)
     p.add_argument("--n", type=_positive_int, default=128)
     p.add_argument("--sigma", type=_positive_int, default=4)
@@ -260,12 +269,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--backend", type=_bench_backends, default=",".join(BACKEND_NAMES))
     p.set_defaults(func=cmd_bench)
-    return parser
+    return parser, subparsers
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``lcseq`` parser, built once per process; parsing leaves it unchanged."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, run through one subcommand's parser where it can."""
+    parser, subparsers = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in subparsers:
+        args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = argv[0]
+            return args
+    return parser.parse_args(argv)  # its help, its errors, and what it does with leftovers
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
+        if sys.stdout is None:  # fd 1 closed at start-up: print would drop every line
+            raise OSError("standard output is closed")
         return args.func(args)
     except MemoryError as exc:  # the trace and dense-table caps, or a failed allocation
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -129,6 +129,20 @@ MUTANTS = [
         _COUNT_COLS + _COUNT_MASKS,
         ["tests/test_bytes.py::test_bytes_pairs_never_take_the_column_map"],
     ),
+    (
+        "M12: the subcommand dispatch accepts leftover arguments",
+        "lcseq/cli.py",
+        "        if not rest:\n",
+        "        if True:\n",
+        ["tests/test_cli.py::test_dispatch_fails_as_the_full_parser"],
+    ),
+    (
+        "M13: main always runs the full parser",
+        "lcseq/cli.py",
+        "if argv and argv[0] in subparsers:",
+        "if False:",
+        ["tests/test_cli.py::test_valid_call_skips_the_top_level_parse"],
+    ),
 ]
 
 

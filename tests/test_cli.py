@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -193,13 +194,13 @@ from lcseq.cli import main
 
 results = []
 for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
-    results.append([rc, out.getvalue(), len(built)])
+    results.append([rc, out.getvalue(), err.getvalue(), len(built)])
 print(json.dumps(results))
 """
 
@@ -224,6 +225,8 @@ def test_main_reuses_one_stateless_parser(tmp_path):
         ["subseq", str(la), str(lb), "--mode", "lines"],
         ["subseq", str(la), str(lb)],
         ["length", fa],
+        ["length", fa, fb, "leftover"],
+        ["length", fa, fb, "--mode", "words"],
         [*bench, "--backend", "auto"],
         bench,
     ]
@@ -233,12 +236,110 @@ def test_main_reuses_one_stateless_parser(tmp_path):
     assert proc.returncode == 0, proc.stderr
     results = json.loads(proc.stdout)
     # the first call builds the parser and its five subparsers; no later call builds one
-    assert [built for _, _, built in results] == [6] * len(runs)
-    assert [rc for rc, _, _ in results] == [0, 0, 0, 0, 2, 0, 0]
-    for argv, (rc, stdout, _) in zip(runs, results):
+    assert [built for *_, built in results] == [6] * len(runs)
+    assert [rc for rc, *_ in results] == [0, 0, 0, 0, 2, 2, 2, 0, 0]
+    for argv, (rc, stdout, stderr, _) in zip(runs, results):
         fresh = run_cli(*argv)
         assert rc == fresh.returncode, argv
         assert _comparable(argv, stdout) == _comparable(argv, fresh.stdout.decode()), argv
+        assert stderr == fresh.stderr.decode(), argv
+
+
+# options before and after the inputs, --opt=value, an abbreviation, '-' and '--'
+VALID_ARGV = [
+    ["length", "a", "b"],
+    ["length", "--mode", "lines", "--backend", "veb", "a", "b"],
+    ["length", "--output=json", "a", "b", "--mode", "lines"],
+    ["length", "--mo", "lines", "a", "b"],
+    ["length", "-", "b", "--output", "json"],
+    ["length", "--", "a", "b"],
+    ["length", "a", "--", "b"],
+    ["length", "--backend", "bitpar", "--", "-", "b"],
+    ["length", "a", "b", "--"],
+    ["length", "--", "-a", "b"],
+    ["subseq", "a", "b", "--memory-cap", "0"],
+    ["subseq", "--memory-cap=5", "a", "b", "--mode=lines", "--output", "json"],
+    ["stats", "--output", "json", "-", "b"],
+    ["verify", "a", "b", "--mode", "lines", "--memory-cap", "7"],
+    ["bench"],
+    ["bench", "--n", "8", "--backend", "auto,veb", "--seed=-3", "--output", "json"],
+]
+
+# help, usage errors, an unknown subcommand and leftover arguments
+FAILING_ARGV = [
+    [],
+    ["-h"],
+    ["length", "-h"],
+    ["nope", "a", "b"],
+    ["--", "length", "a", "b"],
+    ["length", "a", "b", "--bogus"],
+    ["length", "a", "b", "c"],
+    ["length", "a", "b", "--", "c"],
+    ["length", "--", "a", "b", "--mode", "lines"],
+    ["length", "a", "b", "--mode", "words"],
+    ["length", "a"],
+    ["length", "a", "--output=json", "b"],
+    ["subseq", "a", "b", "--memory-cap", "-1"],
+    ["verify", "--output", "json", "a", "b"],
+    ["bench", "x"],
+]
+
+
+def _parsed(parse, argv):
+    """(vars of the namespace or None, exit code or None, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(parse(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_dispatch_parses_as_the_full_parser(argv):
+    dispatched = _parsed(lcseq.cli._parse, argv)
+    assert dispatched[0] is not None, dispatched
+    assert dispatched == _parsed(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", FAILING_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_dispatch_fails_as_the_full_parser(argv):
+    full = _parsed(build_parser().parse_args, argv)
+    assert full[1] in (0, 2), full
+    assert _parsed(lcseq.cli.main, argv) == full
+
+
+def test_valid_call_skips_the_top_level_parse(tmp_path, monkeypatch, capsys):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid call ran the top-level parser")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", refuse)
+    monkeypatch.setattr(build_parser(), "parse_args", refuse)
+    for argv in (["length", fa, fb], ["subseq", "--mode", "lines", fa, fb],
+                 ["stats", fa, fb, "--output=json"]):
+        assert lcseq.cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("m = 7\n")
+
+
+# fd 0 or fd 1 closed at start-up: sys.stdin or sys.stdout is None in the child
+CLOSED_STREAMS = [
+    ("<&-", ["length", "-", "{b}"], "standard input"),
+    *((">&-", [cmd, "{a}", "{b}"], "standard output")
+      for cmd in ("length", "subseq", "stats", "verify")),
+    (">&-", ["bench", "--n", "8", "--repeats", "1"], "standard output"),
+]
+
+
+@pytest.mark.parametrize("close, argv, stream", CLOSED_STREAMS,
+                         ids=[f"{a[0]}-{s.split()[1]}" for _, a, s in CLOSED_STREAMS])
+def test_closed_stream_exits_2(tmp_path, close, argv, stream):
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    argv = [arg.format(a=fa, b=fb) for arg in argv]
+    proc = subprocess.run(["sh", "-c", f'exec "$@" {close}', "sh", *CLI, *argv],
+                          capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {stream} is closed\n".encode())
 
 
 def test_subcommand_options():
