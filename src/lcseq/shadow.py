@@ -41,9 +41,8 @@ class InvariantViolation(Exception):
 class ShadowState:
     """Snapshot after one row (all vectors 1-indexed, slot 0 unused).
 
-    ``t_values`` holds only this row's matches, (row, j) -> T(row, j); the
-    union over all snapshots is the tracker's cumulative ``t_values``.
-    A run's snapshots therefore hold O(R + m * n) values, not O(m * R).
+    ``t_values`` holds only this row's matches, (row, j) -> T(row, j), so
+    a run's snapshots hold O(R + m * n) values, not O(m * R).
     """
 
     row: int
@@ -67,7 +66,6 @@ class ShadowTracker:
         self.h = [0] * (n + 1)
         self.q = [0] * (n + 1)
         self.ts: ThresholdSet = make_threshold_set(max(n, 1), "array")
-        self.t_values: dict[tuple[int, int], int] = {}
         if seed_q is not None:
             if len(seed_q) != n:
                 raise ValueError(f"seed Q must have length {n}")
@@ -83,7 +81,6 @@ class ShadowTracker:
         if not 1 <= j <= self.n:
             raise ValueError(f"column {j} outside 1..{self.n}")
         t = 1 + self.q[j - 1]
-        self.t_values[(i, j)] = t
         if t > self.h[j]:
             self.h[j] = t
             running = self.q[j - 1]

@@ -4,7 +4,9 @@ Universe sizes are rounded up to a power of two.  Each node splits its
 key space into 2**ceil(b/2) clusters of 2**floor(b/2) keys (b = bit
 width), with a summary structure over the occupied clusters, giving
 O(log log u) insert/delete/member/successor/predecessor and O(1)
-min/max.
+min/max.  Member is answered by Succ: x is stored exactly when it is the
+minimum or the successor of x - 1.  Only the tree a caller builds keeps
+a key count; its clusters and summaries report ``len`` 0.
 
 The minimum of a node is kept only in the node's cache, never stored
 recursively, so insert and delete make at most one non-trivial
@@ -22,7 +24,7 @@ __all__ = ["VebTree"]
 
 
 class VebTree:
-    """Dynamic set of integers in [0, universe_bound)."""
+    """Dynamic set of integers in [0, universe_bound); member is Succ, the root counts."""
 
     __slots__ = (
         "universe_bound",
@@ -61,27 +63,18 @@ class VebTree:
 
     def __contains__(self, x: int) -> bool:
         self._check(x)
-        node = self
-        while True:
-            if x == node.min or x == node.max:
-                return True
-            if node._bits == 1:
-                return False
-            cluster = node.clusters.get(x >> node._lower_bits)
-            if cluster is None:
-                return False
-            x &= node._lower_mask
-            node = cluster
+        return x == self.min or self._succ(x - 1) == x
 
     def insert(self, x: int) -> bool:
         """Insert x; returns True if x was absent (idempotent otherwise)."""
         self._check(x)
-        return self._insert(x)
+        new = self._insert(x)
+        self.population += new
+        return new
 
     def _insert(self, x: int) -> bool:
         if self.min is None:
             self.min = self.max = x
-            self.population = 1
             return True
         if x == self.min or x == self.max:
             return False
@@ -100,21 +93,20 @@ class VebTree:
                     self.summary = VebTree(1 << (self._bits - self._lower_bits))
                 self.summary._insert(h)
                 cluster.min = cluster.max = l
-                cluster.population = 1
             else:
                 new = cluster._insert(l)
         # bits == 1: x differs from both cached keys, so it is the other
         # key of {0, 1} and lands in the max slot below.
         if new and x > self.max:
             self.max = x
-        if new:
-            self.population += 1
         return new
 
     def delete(self, x: int) -> bool:
         """Delete x; returns True if present (no-op on absent keys)."""
         self._check(x)
-        return self._delete(x)
+        found = self._delete(x)
+        self.population -= found
+        return found
 
     def _delete(self, x: int) -> bool:
         if self.min is None:
@@ -122,11 +114,9 @@ class VebTree:
         if x == self.min:
             if self.min == self.max:
                 self.min = self.max = None
-                self.population = 0
                 return True
             if self._bits == 1:
                 self.min = self.max
-                self.population = 1
                 return True
             # pull the new minimum out of the first occupied cluster
             c = self.summary.min
@@ -136,7 +126,6 @@ class VebTree:
         elif self._bits == 1:
             if x == self.max and self.max != self.min:
                 self.max = self.min
-                self.population -= 1
                 return True
             return False
         h = x >> self._lower_bits
@@ -156,7 +145,6 @@ class VebTree:
                     self.max = (s_max << self._lower_bits) | self.clusters[s_max].max
         elif x == self.max:
             self.max = (h << self._lower_bits) | cluster.max
-        self.population -= 1
         return True
 
     def successor(self, x: int) -> int | None:
@@ -209,7 +197,5 @@ class VebTree:
         x = self.min
         while x is not None:
             yield x
-            if x + 1 >= self.universe_bound:
-                return
             x = self._succ(x)
 

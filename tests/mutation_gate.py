@@ -143,6 +143,28 @@ MUTANTS = [
         "if False:",
         ["tests/test_cli.py::test_valid_call_skips_the_top_level_parse"],
     ),
+    (
+        "M14: VebTree._insert also inserts into the summary on a non-empty cluster",
+        "lcseq/veb.py",
+        "                new = cluster._insert(l)\n",
+        "                new = cluster._insert(l)\n"
+        "                self.summary._insert(h)\n",
+        ["tests/test_veb.py::test_recursion_per_operation_bounded"],
+    ),
+    (
+        "M15: VebTree's root count adds 1 for an insert that found its key",
+        "lcseq/veb.py",
+        "self.population += new",
+        "self.population += 1",
+        ["tests/test_veb.py::test_insert_examples"],
+    ),
+    (
+        "M16: AvlTree._balance never rotates",
+        "lcseq/bst.py",
+        "bf = _h(node.left) - _h(node.right)",
+        "bf = 0",
+        ["tests/test_bst.py::test_randomized_oracle"],
+    ),
 ]
 
 

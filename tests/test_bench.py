@@ -10,7 +10,7 @@ import pytest
 
 from lcseq import bench, core
 from lcseq.core import DpCapError, lcs_length
-from lcseq.matching import build_position_lists, count_matches
+from lcseq.matching import MatchStats, build_position_lists, count_matches
 from lcseq.threshold import TreeBackend
 
 
@@ -182,6 +182,22 @@ def test_run_bench_disagreement_aborts(monkeypatch):
     monkeypatch.setattr(bench_mod, "lcs_length", broken)
     cases = bench.default_cases(n=16, sigma=2, seed=0)
     with pytest.raises(bench.BenchDisagreement):
+        bench.run_bench(cases, repeats=1)
+
+
+def test_run_bench_r_disagreement_aborts(monkeypatch):
+    real = bench.lcs_length
+
+    def miscounted(x, y, backend="veb"):
+        res = real(x, y, backend=backend)
+        if backend == "tree":
+            s = res.stats
+            res.stats = MatchStats(r=s.r + 1, n=s.n, m=s.m)
+        return res
+
+    monkeypatch.setattr(bench, "lcs_length", miscounted)
+    cases = bench.default_cases(n=16, sigma=2, seed=0)
+    with pytest.raises(bench.BenchDisagreement, match="disagree on R"):
         bench.run_bench(cases, repeats=1)
 
 

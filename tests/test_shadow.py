@@ -27,7 +27,6 @@ def test_golden_single_match():
     tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
     t = tracker.apply_match(4, 6)
     assert t == 3
-    assert tracker.t_values[(4, 6)] == 3
     assert tracker.q[1:] == [0, 1, 2, 2, 2, 3, 3]
     assert tracker.ts.contents() == [2, 3, 6]
 

@@ -98,20 +98,12 @@ def test_universe_must_be_positive():
         VebTree(0)
 
 
-def _check_population(node):
-    """Population = sum of cluster populations + 1 for the cached min."""
-    if node.min is None:
-        assert node.population == 0
-        return
-    if node._bits == 1:
-        expected = 1 if node.min == node.max else 2
-        assert node.population == expected
-        return
-    total = 1  # cached min, never stored recursively
-    for cluster in node.clusters.values():
-        _check_population(cluster)
-        total += cluster.population
-    assert node.population == total
+def _check_population(tree):
+    """The root's key count equals the keys that iteration yields.
+
+    Only the root counts: its clusters and summaries keep no count.
+    """
+    assert len(tree) == sum(1 for _ in tree)
 
 
 def _full_sweep(tree, oracle, universe):
@@ -215,3 +207,75 @@ def test_hypothesis_matches_sorted_set(ops):
     assert list(tree) == oracle.items
     _full_sweep(tree, oracle, 64)
     _check_population(tree)
+
+
+def test_every_width_matches_sorted_set():
+    """in, len, iteration, insert/delete results, succ, pred, min and max, at b = 1..16 bits."""
+    for bits in range(1, 17):
+        universe = 1 << bits
+        rng = random.Random(bits)
+        tree = VebTree(universe)
+        oracle = SortedSetOracle()
+        for step in range(400):
+            x = rng.randrange(universe)
+            if oracle.items and rng.random() < 0.3:
+                x = rng.choice(oracle.items)
+            if rng.random() < 0.6:
+                assert tree.insert(x) == oracle.insert(x)
+            else:
+                assert tree.delete(x) == oracle.delete(x)
+            assert len(tree) == len(oracle.items)
+            assert tree.min == oracle.min() and tree.max == oracle.max()
+            for probe in (x, rng.randrange(universe), 0, universe - 1):
+                assert (probe in tree) == oracle.member(probe)
+                assert tree.successor(probe) == oracle.successor(probe)
+                assert tree.predecessor(probe) == oracle.predecessor(probe)
+            if step % 50 == 0:
+                assert list(tree) == oracle.items
+        assert list(tree) == oracle.items
+
+
+def test_recursion_per_operation_bounded():
+    """The O(log log u) bound as counted calls, at every width b = 1..16 bits.
+
+    Each public call is charged every call of ``_succ``, ``_pred``,
+    ``_insert`` and ``_delete`` that it makes, recursive ones included.
+    With k = ceil(log2 b), the recursion depth, successor, predecessor,
+    insert and ``in`` make at most k + 1 calls: one per level.  delete
+    makes at most 2k + 1: a cluster that it empties is followed by one
+    delete in the summary.  Each of the five reaches k + 1 at every b,
+    so the random sequences do descend to the deepest level.
+    """
+    calls = 0
+
+    def counting(method):
+        def counted(self, x):
+            nonlocal calls
+            calls += 1
+            return method(self, x)
+        return counted
+
+    ops = {"successor": VebTree.successor, "predecessor": VebTree.predecessor,
+           "insert": VebTree.insert, "delete": VebTree.delete, "in": VebTree.__contains__}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_succ", "_pred", "_insert", "_delete"):
+            patch.setattr(VebTree, name, counting(getattr(VebTree, name)))
+        for bits in range(1, 17):
+            k = (bits - 1).bit_length()
+            bound = dict.fromkeys(ops, k + 1)
+            bound["delete"] = 2 * k + 1
+            most = dict.fromkeys(ops, 0)
+            universe = 1 << bits
+            rng = random.Random(20261020 + bits)
+            tree = VebTree(universe)
+            keys = []
+            for _ in range(1500):
+                op = rng.choice(("insert", "insert", "delete", "successor", "predecessor", "in"))
+                x = rng.choice(keys) if keys and rng.random() < 0.5 else rng.randrange(universe)
+                if op == "insert":
+                    keys.append(x)
+                calls = 0
+                ops[op](tree, x)
+                assert calls <= bound[op], (bits, op, x, calls)
+                most[op] = max(most[op], calls)
+            assert min(most.values()) == k + 1, (bits, most)
