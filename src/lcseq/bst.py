@@ -1,8 +1,9 @@
 """Self-balancing (AVL) search tree over integer keys.
 
 Supports the dictionary operations the threshold set needs: insert,
-delete, membership, max, successor and predecessor, each in
-O(log size).  Keys are unique; satellite data is out of scope.
+delete, membership (by successor), max, successor and predecessor,
+each one descent of O(log size) nodes.  Keys are unique; satellite
+data is out of scope.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def _balance(node: _Node) -> _Node:
     return node
 
 
+def _pop_min(node: _Node) -> tuple[_Node | None, int]:
+    """The subtree without its smallest key, rebalanced, and that key."""
+    if node.left is None:
+        return node.right, node.key
+    node.left, key = _pop_min(node.left)
+    return _balance(node), key
+
+
 class AvlTree:
     def __init__(self):
         self._root: _Node | None = None
@@ -73,53 +82,44 @@ class AvlTree:
         return _h(self._root)
 
     def __contains__(self, key: int) -> bool:
-        node = self._root
-        while node is not None:
-            if key == node.key:
-                return True
-            node = node.left if key < node.key else node.right
-        return False
+        return self.successor(key - 1) == key
 
     def insert(self, key: int) -> bool:
         """Insert key; returns True if it was absent."""
-        if key in self:
-            return False
+        size = self._size
         self._root = self._insert(self._root, key)
-        self._size += 1
-        return True
+        return self._size != size
 
     def _insert(self, node: _Node | None, key: int) -> _Node:
         if node is None:
+            self._size += 1
             return _Node(key)
         if key < node.key:
             node.left = self._insert(node.left, key)
-        else:
+        elif key > node.key:
             node.right = self._insert(node.right, key)
-        return _balance(node)
+        return _balance(node)  # a node that holds key comes back unchanged
 
     def delete(self, key: int) -> bool:
         """Delete key; no-op returning False when absent."""
-        if key not in self:
-            return False
+        size = self._size
         self._root = self._delete(self._root, key)
-        self._size -= 1
-        return True
+        return self._size != size
 
-    def _delete(self, node: _Node, key: int) -> _Node | None:
+    def _delete(self, node: _Node | None, key: int) -> _Node | None:
+        if node is None:
+            return None
         if key < node.key:
             node.left = self._delete(node.left, key)
         elif key > node.key:
             node.right = self._delete(node.right, key)
         else:
+            self._size -= 1
             if node.left is None:
                 return node.right
             if node.right is None:
                 return node.left
-            succ = node.right
-            while succ.left is not None:
-                succ = succ.left
-            node.key = succ.key
-            node.right = self._delete(node.right, succ.key)
+            node.right, node.key = _pop_min(node.right)
         return _balance(node)
 
     @property

@@ -53,7 +53,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # `verify` runs the named sets (veb, tree, array) only up to this many
-# matches R: above it `tree` alone costs seconds (about 16 us per match).
+# matches R: above it `tree` alone costs seconds (about 8 us per match,
+# 2-core x86_64, Python 3.11).
 VERIFY_SETS_MAX_R = 1 << 18
 
 

@@ -79,7 +79,7 @@ class ShadowTracker:
     def apply_match(self, i: int, j: int) -> int:
         """Process match (i, j); returns its chain-length value T(i, j)."""
         if not 1 <= j <= self.n:
-            raise ValueError(f"column {j} outside 1..{self.n}")
+            raise ValueError(f"match ({i}, {j}): column {j} outside 1..{self.n}")
         t = 1 + self.q[j - 1]
         if t > self.h[j]:
             self.h[j] = t

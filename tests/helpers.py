@@ -76,6 +76,31 @@ class SortedSetOracle:
         return self.items[i - 1] if i > 0 else None
 
 
+class CountedKey(int):
+    """An int key that counts, in ``CountedKey.compared``, every <, > and == it takes part in.
+
+    Against a plain int on the left, Python calls this subclass's
+    reflected method, so a comparison counts whichever side it is on.
+    Arithmetic on a key gives a plain int.
+    """
+
+    compared = 0
+
+    def __lt__(self, other):
+        CountedKey.compared += 1
+        return int.__lt__(self, other)
+
+    def __gt__(self, other):
+        CountedKey.compared += 1
+        return int.__gt__(self, other)
+
+    def __eq__(self, other):
+        CountedKey.compared += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
 def reference_update(contents: list[int], x: int) -> int | None:
     """Literal successor-replacement rule on a sorted list (in place).
 

@@ -165,6 +165,27 @@ MUTANTS = [
         "bf = 0",
         ["tests/test_bst.py::test_randomized_oracle"],
     ),
+    (
+        "M17: AvlTree.insert searches with `in` before inserting",
+        "lcseq/bst.py",
+        "        self._root = self._insert(self._root, key)\n",
+        "        if key in self:\n"
+        "            return False\n"
+        "        self._root = self._insert(self._root, key)\n",
+        ["tests/test_bst.py::test_descent_per_operation_bounded"],
+    ),
+    (
+        "M18: a two-child delete walks to the successor and deletes it again from the right subtree",
+        "lcseq/bst.py",
+        "            node.right, node.key = _pop_min(node.right)\n",
+        "            succ = node.right\n"
+        "            while succ.left is not None:\n"
+        "                succ = succ.left\n"
+        "            node.key = succ.key\n"
+        "            self._size += 1  # the second delete counts the key out again\n"
+        "            node.right = self._delete(node.right, succ.key)\n",
+        ["tests/test_bst.py::test_descent_per_operation_bounded"],
+    ),
 ]
 
 

@@ -8,6 +8,7 @@ criterion 2, so they share one module-scoped run.
 
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -16,20 +17,23 @@ from dataclasses import dataclass
 
 import pytest
 
+from lcseq import bst
+from lcseq.bst import AvlTree
 from lcseq.core import (
     KERNEL_NAMES,
     OpCounters,
+    _match_rows,
     dp_oracle,
     lcs_length,
     lcs_reconstruct,
     validate_common_subsequence,
 )
-from lcseq.matching import Sequence
+from lcseq.matching import Sequence, build_position_lists
 from lcseq.shadow import ShadowTracker, shadow_run
-from lcseq.threshold import VebBackend
+from lcseq.threshold import VebBackend, make_threshold_set
 from lcseq.veb import VebTree
 
-from helpers import SortedSetOracle, run_cli_with_literal_guard
+from helpers import CountedKey, SortedSetOracle, run_cli_with_literal_guard
 
 
 def report(criterion: int, detail: str) -> None:
@@ -97,12 +101,10 @@ def _counted_veb_length(x, y):
     return res, OpCounters(**calls)
 
 
-@pytest.fixture(scope="module")
-def random_corpus():
+def _corpus_pairs():
+    """The 1000 seeded (x, y) pairs of criterion 2's corpus, in order."""
     rng = random.Random(20250823)
     sigmas = (2, 4, 26)
-    audits = []
-    start = time.perf_counter()
     for idx in range(1000):
         sigma = sigmas[idx % 3]
         # skewed draw keeps the 60 s budget; boundary length exercised too
@@ -113,6 +115,15 @@ def random_corpus():
             n = int(201 * rng.random() ** 2)
         x = Sequence(tuple(rng.randrange(sigma) for _ in range(m)))
         y = Sequence(tuple(rng.randrange(sigma) for _ in range(n)))
+        yield x, y
+
+
+@pytest.fixture(scope="module")
+def random_corpus():
+    audits = []
+    start = time.perf_counter()
+    for idx, (x, y) in enumerate(_corpus_pairs()):
+        m, n = len(x), len(y)
         expected = int(dp_oracle(x, y)[m][n])
         veb, veb_calls = _counted_veb_length(x, y)
         results = {"veb": veb}
@@ -205,6 +216,86 @@ def test_criterion_6_array_comparison_accounting(random_corpus):
             total += rc.comparisons
         assert total <= audit.m * audit.l + audit.r + audit.m
     report(6, f"{len(audits)} instances, per-row and aggregate bounds hold")
+
+
+# -- the paper's per-operation bounds, counted over the corpus ----------
+
+# c in each bound of the test below, read from the whole corpus: the largest
+# count less its log term, rounded up (the AVL insert's is 0.35)
+_VEB_EXCESS = {"successor": 1, "insert": 1, "delete": 4}
+_AVL_EXCESS = {"successor": 0, "insert": 1, "delete": 0}
+
+
+def test_corpus_work_per_tree_operation():
+    """Criterion 2's update streams through the named vEB and AVL sets, each primitive counted.
+
+    Every match (i, j) is one ``update(j)``: a successor, at most one
+    delete and an insert on the set's tree.  Wrappers patched here count,
+    per public call, the vEB tree's calls of ``_succ``, ``_insert`` and
+    ``_delete``, and the nodes the AVL tree visits: a successor's key
+    comparisons (one per node on its path; the keys are ``CountedKey``s),
+    and an insert's or delete's calls of ``_insert``, ``_delete`` and
+    ``_pop_min`` (one per node, plus the empty link where an insert ends).
+    On each instance the largest count per primitive is at most
+    ceil(log2 log2 u) + c for the vEB tree, u its universe, and
+    1.45 log2(L + 2) + c for the AVL tree, with the c of ``_VEB_EXCESS``
+    and ``_AVL_EXCESS``; over the instances it comes within 1 of it.
+
+    Every tenth instance is replayed (100 of the 1000, R = 159 850 in
+    all, the first one at m = n = 200), which keeps the counted replay
+    to about 4 s; the whole corpus gives the same c.
+    """
+    count = 0
+    most = {}  # primitive -> this instance's largest count
+
+    def counting(method):
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return method(*args)
+        return counted
+
+    def per_call(primitive, method, compared):
+        def measured(self, key):
+            nonlocal count
+            count = CountedKey.compared = 0
+            result = method(self, key)
+            value = CountedKey.compared if compared else count
+            most[primitive] = max(most.get(primitive, 0), value)
+            return result
+        return measured
+
+    excess = {}  # (backend, primitive) -> the largest count less its log term
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_succ", "_insert", "_delete"):
+            patch.setattr(VebTree, name, counting(getattr(VebTree, name)))
+        for name in ("_insert", "_delete"):
+            patch.setattr(AvlTree, name, counting(getattr(AvlTree, name)))
+        patch.setattr(bst, "_pop_min", counting(bst._pop_min))
+        for cls in (VebTree, AvlTree):
+            for primitive in ("successor", "insert", "delete"):
+                compared = cls is AvlTree and primitive == "successor"
+                patch.setattr(cls, primitive, per_call(primitive, getattr(cls, primitive), compared))
+        for x, y in itertools.islice(_corpus_pairs(), 0, None, 10):
+            rows = list(_match_rows(x, build_position_lists(y).lists))  # the driver's updates
+            for backend, bound in (("veb", _VEB_EXCESS), ("tree", _AVL_EXCESS)):
+                ts = make_threshold_set(max(len(y), 1), backend)
+                most.clear()
+                for row in rows:
+                    for j in row:
+                        ts.update(CountedKey(j))
+                if backend == "veb":  # ceil(log2 b) for u = 2**b
+                    log_term = (ts.tree.universe_bound.bit_length() - 2).bit_length()
+                else:
+                    log_term = 1.45 * math.log2(ts.size() + 2)
+                for primitive, value in most.items():
+                    assert value <= log_term + bound[primitive], (backend, primitive, value)
+                    key = (backend, primitive)
+                    excess[key] = max(excess.get(key, -math.inf), value - log_term)
+    for (backend, primitive), value in excess.items():
+        bound = (_VEB_EXCESS if backend == "veb" else _AVL_EXCESS)[primitive]
+        assert value > bound - 1, (backend, primitive, value)
+    assert len(excess) == 6, excess
 
 
 # -- criterion 7: vEB randomized oracle ---------------------------------

@@ -12,8 +12,18 @@ from helpers import from_text
 
 
 def test_prefix_max_pairing():
-    h = (0, 1, 2, 1, 2, 0, 1)
-    assert tuple(accumulate(h, max)) == (0, 1, 2, 2, 2, 2, 2)
+    """After every ``apply_match`` of a real row sweep, Q is the prefix maximum of H."""
+    rng = random.Random(31)
+    x = Sequence(tuple(rng.randrange(3) for _ in range(30)))
+    y = Sequence(tuple(rng.randrange(3) for _ in range(20)))
+    tracker = ShadowTracker(len(y))
+    for i, sym in enumerate(x.symbols, start=1):
+        tracker.ts.begin_row()
+        for j in range(len(y), 0, -1):  # a row's matches arrive right to left
+            if y.symbols[j - 1] == sym:
+                tracker.apply_match(i, j)
+                assert tracker.q[1:] == list(accumulate(tracker.h[1:], max)), (i, j)
+    assert tracker.q[-1] == int(dp_oracle(x, y)[len(x)][len(y)])
 
 
 def test_break_points_from_seeded_state():
@@ -133,5 +143,5 @@ def test_shadow_size_limit():
 
 def test_column_out_of_range():
     tracker = ShadowTracker(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^match \(1, 5\): column 5 outside 1\.\.4$"):
         tracker.apply_match(1, 5)

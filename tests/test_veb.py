@@ -183,10 +183,22 @@ def _depth_bound(universe_bound: int) -> int:
     return loglog + 2
 
 
+def _nesting_depth(tree: VebTree) -> int:
+    """Levels of summaries and clusters under ``tree``, along its deepest chain."""
+    children = list(tree.clusters.values())
+    if tree.summary is not None:  # not truthiness: only a root counts its keys
+        children.append(tree.summary)
+    return 1 + max(map(_nesting_depth, children)) if children else 0
+
+
 def test_depth_bound():
+    """Built trees nest summaries and clusters _depth_of(u) = ceil(log2 b) deep, within the bound."""
     for bits in range(1, 21):
         u = 1 << bits
-        assert _depth_of(u) <= _depth_bound(u)
+        tree = VebTree(u)
+        for x in random.Random(bits).sample(range(u), min(u, 300)):
+            tree.insert(x)
+        assert _nesting_depth(tree) == _depth_of(u) <= _depth_bound(u), (bits, _nesting_depth(tree))
 
 
 @settings(max_examples=150, deadline=None)
