@@ -472,7 +472,7 @@ def lcs_length(
             ts.begin_row()
             for j in positions:
                 ts.update(j)
-        length, backend, row_costs = ts.size(), ts.name, ts.row_costs()
+        length, row_costs = ts.size(), ts.row_costs()
     return LcsResult(length, None, stats, _kernel_counters(stats.r, length), backend, row_costs)
 
 

@@ -1,10 +1,11 @@
 """Dense debug-mode state run in lock-step with the threshold set.
 
 The tracker maintains, literally by definition, the per-column running
-maxima H, their prefix maxima Q, and the break-point vector P, while the
-compact threshold set processes the same matches.  After every row it
-cross-checks the two representations; any disagreement is reported with
-the offending row, column, and both values.  Desk-scale only.
+maxima H and their prefix maxima Q while the compact threshold set
+processes the same matches; the break-point vector P is computed from Q,
+not kept beside it.  After every row it cross-checks the
+representations; any disagreement is reported with the offending row,
+column, and both values.  Desk-scale only.
 """
 
 from __future__ import annotations
@@ -48,33 +49,18 @@ class ShadowState:
     row: int
     h: tuple[int, ...]
     q: tuple[int, ...]
-    p: tuple[int, ...]
     contents: tuple[int, ...]
     t_values: dict[tuple[int, int], int]
 
 
 class ShadowTracker:
-    """Dense H/Q/P bookkeeping plus the array threshold set, checked row by row."""
+    """Dense H/Q plus the array threshold set over 1..n; starts empty, moved only by ``apply_match``."""
 
-    def __init__(
-        self,
-        n: int,
-        seed_q: tuple[int, ...] | None = None,
-        seed_contents: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, n: int):
         self.n = n
         self.h = [0] * (n + 1)
         self.q = [0] * (n + 1)
         self.ts: ThresholdSet = make_threshold_set(max(n, 1), "array")
-        if seed_q is not None:
-            if len(seed_q) != n:
-                raise ValueError(f"seed Q must have length {n}")
-            self.q[1:] = list(seed_q)
-            self.h[1:] = list(seed_q)
-        if seed_contents is not None:
-            # strictly increasing contents seed cleanly as a run of appends
-            for v in seed_contents:
-                self.ts.update(v)
 
     def apply_match(self, i: int, j: int) -> int:
         """Process match (i, j); returns its chain-length value T(i, j)."""
@@ -104,7 +90,7 @@ class ShadowTracker:
         return q
 
     def break_points(self) -> list[int]:
-        """P: first column reaching each value, sentinel n+1 beyond max Q."""
+        """P from the stored Q: first column reaching each value, sentinel n+1 beyond max Q."""
         p = [self.n + 1] * (self.n + 1)
         for j in range(1, self.n + 1):
             t = self.q[j]
@@ -156,7 +142,6 @@ class ShadowTracker:
             row=row,
             h=tuple(self.h[1:]),
             q=tuple(self.q[1:]),
-            p=tuple(self.break_points()[1:]),
             contents=tuple(self.ts.contents()),
             t_values=t_values,
         )

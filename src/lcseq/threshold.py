@@ -63,7 +63,6 @@ class ThresholdSet:
     """
 
     tree: VebTree | AvlTree | _SortedVector
-    name: str  # the backend name that ``make_threshold_set`` maps to this class
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -121,8 +120,6 @@ class ThresholdSet:
 class VebBackend(ThresholdSet):
     """Threshold set on a van Emde Boas tree over universe capacity+1."""
 
-    name = "veb"
-
     def __init__(self, capacity: int):
         from .veb import VebTree  # imported here: the default path builds no tree
 
@@ -132,8 +129,6 @@ class VebBackend(ThresholdSet):
 
 class TreeBackend(ThresholdSet):
     """Threshold set on an AVL tree."""
-
-    name = "tree"
 
     def __init__(self, capacity: int):
         from .bst import AvlTree  # imported here: the default path builds no tree
@@ -179,8 +174,6 @@ class ArrayBackend(ThresholdSet):
     S[cursor + 1], allowed for generic use) restarts the scan from the
     top, and one before any ``begin_row`` opens a row.
     """
-
-    name = "array"
 
     def __init__(self, capacity: int):
         super().__init__(capacity)

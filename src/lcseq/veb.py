@@ -6,7 +6,8 @@ width), with a summary structure over the occupied clusters, giving
 O(log log u) insert/delete/member/successor/predecessor and O(1)
 min/max.  Member is answered by Succ: x is stored exactly when it is the
 minimum or the successor of x - 1.  Only the tree a caller builds keeps
-a key count; its clusters and summaries report ``len`` 0.
+a key count; its clusters and summaries report ``len`` 0.  The truth
+value reads ``min``, as every query does, so any node holding a key is true.
 
 The minimum of a node is kept only in the node's cache, never stored
 recursively, so insert and delete make at most one non-trivial
@@ -60,6 +61,9 @@ class VebTree:
 
     def __len__(self) -> int:
         return self.population
+
+    def __bool__(self) -> bool:
+        return self.min is not None
 
     def __contains__(self, x: int) -> bool:
         self._check(x)

@@ -186,6 +186,20 @@ MUTANTS = [
         "            node.right = self._delete(node.right, succ.key)\n",
         ["tests/test_bst.py::test_descent_per_operation_bounded"],
     ),
+    (
+        "M19: VebTree.__bool__ reads the root-only key count",
+        "lcseq/veb.py",
+        "return self.min is not None",
+        "return self.population != 0",
+        ["tests/test_veb.py::test_truth_value_is_nonempty_at_every_node"],
+    ),
+    (
+        "M20: verify skips the shadow probe at exactly the limit",
+        "lcseq/cli.py",
+        "len(x) <= DEFAULT_SHADOW_LIMIT",
+        "len(x) < DEFAULT_SHADOW_LIMIT",
+        ["tests/test_cli.py::test_verify_runs_the_shadow_probe_up_to_its_limit"],
+    ),
 ]
 
 

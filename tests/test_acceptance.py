@@ -161,7 +161,14 @@ def test_criterion_2_randomized_equivalence(random_corpus):
 
 
 def test_criterion_3_golden_trace():
-    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    # the worked example's state before the (4, 6) match, reached by real matches
+    tracker = ShadowTracker(7)
+    for i, j in ((1, 2), (2, 3)):
+        tracker.ts.begin_row()
+        tracker.apply_match(i, j)
+    assert tracker.q[1:] == [0, 1, 2, 2, 2, 2, 2]
+    assert tracker.ts.contents() == [2, 3]
+    tracker.ts.begin_row()
     t = tracker.apply_match(4, 6)
     assert t == 3
     assert tracker.q[1:] == [0, 1, 2, 2, 2, 3, 3]

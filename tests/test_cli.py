@@ -828,6 +828,31 @@ def test_verify_runs_every_backend_up_to_the_set_limit(tmp_path, monkeypatch, ca
     )
 
 
+def test_verify_runs_the_shadow_probe_up_to_its_limit(tmp_path, monkeypatch, capsys):
+    """`verify` runs `shadow_run` on a 256 x 256 pair, and on no pair with a side of 257 tokens."""
+    import lcseq.cli as cli
+    import lcseq.shadow as shadow
+
+    calls = []
+    real = shadow.shadow_run
+
+    def counting(x, y):
+        calls.append((len(x), len(y)))
+        return real(x, y)
+
+    monkeypatch.setattr(shadow, "shadow_run", counting)
+    rng = random.Random(256)
+    a, b = (bytes(rng.choices(b"ACGT", k=shadow.DEFAULT_SHADOW_LIMIT)) for _ in range(2))
+    outs = []
+    # a trailing byte that the other side lacks leaves L as it is
+    for pair, expected in (((a, b), [(256, 256)]), ((a + b"Z", b), []), ((a, b + b"Z"), [])):
+        calls.clear()
+        assert cli.main(["verify", *write_pair(tmp_path, *pair)]) == 0
+        assert calls == expected, [len(side) for side in pair]
+        outs.append(capsys.readouterr().out)
+    assert outs[0].startswith("ok: all backends agree, L = ") and outs == [outs[0]] * 3
+
+
 def test_verify_failure_reports_the_skipped_sets(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lcseq.core, "_threshold_rows", overcounting_kernel)
     fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")

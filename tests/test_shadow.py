@@ -6,9 +6,18 @@ import pytest
 
 from lcseq.core import dp_oracle
 from lcseq.matching import Sequence
-from lcseq.shadow import InvariantViolation, ShadowTracker, shadow_run
+from lcseq.shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, ShadowTracker, shadow_run
 
 from helpers import from_text
+
+
+def worked_example_tracker() -> ShadowTracker:
+    """The worked example's S = (2, 3), Q = (0, 1, 2, 2, 2, 2, 2), by the matches (1, 2) and (2, 3)."""
+    tracker = ShadowTracker(7)
+    for i, j in ((1, 2), (2, 3)):
+        tracker.ts.begin_row()
+        tracker.apply_match(i, j)
+    return tracker
 
 
 def test_prefix_max_pairing():
@@ -27,14 +36,15 @@ def test_prefix_max_pairing():
 
 
 def test_break_points_from_seeded_state():
-    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    tracker = worked_example_tracker()
     assert tracker.break_points()[1:] == [2, 3, 8, 8, 8, 8, 8]
     assert tracker.ts.contents() == [2, 3]
     assert tracker.q_from_contents()[1:] == [0, 1, 2, 2, 2, 2, 2]
 
 
 def test_golden_single_match():
-    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    tracker = worked_example_tracker()
+    tracker.ts.begin_row()
     t = tracker.apply_match(4, 6)
     assert t == 3
     assert tracker.q[1:] == [0, 1, 2, 2, 2, 3, 3]
@@ -98,7 +108,7 @@ def test_shadow_run_memory_is_not_per_row_cumulative():
 
 
 def test_check_row_detects_corruption():
-    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    tracker = worked_example_tracker()
     tracker.q[5] = 9
     with pytest.raises(InvariantViolation) as exc:
         tracker.check_row(1, None)
@@ -106,7 +116,7 @@ def test_check_row_detects_corruption():
 
 
 def test_check_row_detects_q_step_above_one():
-    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    tracker = worked_example_tracker()
     # Q stays the prefix maximum of H, but steps by 2 at column 5
     tracker.h[5] = 4
     tracker.q[5:8] = [4, 4, 4]
@@ -116,29 +126,27 @@ def test_check_row_detects_q_step_above_one():
 
 
 def test_check_row_detects_h_decrease():
-    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    tracker = worked_example_tracker()
     with pytest.raises(InvariantViolation) as exc:
         tracker.check_row(1, [0, 9, 0, 0, 0, 0, 0, 0])
     assert (exc.value.what, exc.value.column) == ("H decreased across rows", 1)
     assert (exc.value.expected, exc.value.actual) == (9, 0)
 
 
-def test_seed_q_of_wrong_length():
-    with pytest.raises(ValueError, match="seed Q must have length 7"):
-        ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2))
-
-
 def test_check_row_detects_set_divergence():
-    tracker = ShadowTracker(7, seed_q=(0, 1, 2, 2, 2, 2, 2), seed_contents=(2, 3))
+    tracker = worked_example_tracker()
     tracker.ts.update(5)  # set moves, dense state does not
     with pytest.raises(InvariantViolation):
         tracker.check_row(1, None)
 
 
 def test_shadow_size_limit():
-    big = Sequence(tuple([0] * 300))
-    with pytest.raises(ValueError):
-        shadow_run(big, big)
+    at_limit = Sequence(tuple([0] * DEFAULT_SHADOW_LIMIT))
+    assert len(shadow_run(at_limit, at_limit)) == DEFAULT_SHADOW_LIMIT
+    for size in (DEFAULT_SHADOW_LIMIT + 1, 300):
+        big = Sequence(tuple([0] * size))
+        with pytest.raises(ValueError, match="shadow mode is capped at 256x256"):
+            shadow_run(big, big)
 
 
 def test_column_out_of_range():

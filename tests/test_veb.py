@@ -168,6 +168,42 @@ def test_cluster_reused_after_emptying():
     _check_population(tree)
 
 
+def _nodes(tree: VebTree):
+    """``tree`` and every summary and cluster under it."""
+    yield tree
+    if tree.summary is not None:
+        yield from _nodes(tree.summary)
+    for cluster in tree.clusters.values():
+        yield from _nodes(cluster)
+
+
+def test_truth_value_is_nonempty_at_every_node():
+    """bool() of the root, each summary and each cluster reads min, not the root-only key count."""
+    assert not VebTree(8)
+    tree = make([1, 5, 6])
+    assert tree and tree.summary and tree.clusters[2]  # the clusters of 1, and of 5 and 6
+    for bits in range(1, 17):
+        universe = 1 << bits
+        rng = random.Random(bits)
+        tree = VebTree(universe)
+        keys = rng.sample(range(universe), min(universe, 200))
+        for x in keys:
+            tree.insert(x)
+        for x in keys[::3]:
+            tree.delete(x)
+        nodes = list(_nodes(tree))
+        for node in nodes:
+            assert bool(node) == (node.min is not None), (bits, node.min)
+        if bits > 1:
+            assert any(node.min is not None for node in nodes[1:]), bits
+    tree = make([0, 5, 6], universe=16)
+    cluster = tree.clusters[1]
+    assert cluster
+    tree.delete(5)
+    tree.delete(6)
+    assert tree.clusters[1] is cluster and not cluster
+
+
 def _depth_of(universe_bound: int) -> int:
     depth = 0
     bits = universe_bound.bit_length() - 1
@@ -186,7 +222,7 @@ def _depth_bound(universe_bound: int) -> int:
 def _nesting_depth(tree: VebTree) -> int:
     """Levels of summaries and clusters under ``tree``, along its deepest chain."""
     children = list(tree.clusters.values())
-    if tree.summary is not None:  # not truthiness: only a root counts its keys
+    if tree.summary is not None:  # not truthiness: a summary emptied by deletes is still built
         children.append(tree.summary)
     return 1 + max(map(_nesting_depth, children)) if children else 0
 
