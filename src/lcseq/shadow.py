@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matching import Sequence, build_position_lists
+from .core import _plan
+from .matching import Sequence
 from .threshold import ThresholdSet, make_threshold_set
 
 __all__ = [
@@ -40,14 +41,13 @@ class InvariantViolation(Exception):
 
 @dataclass
 class ShadowState:
-    """Snapshot after one row (all vectors 1-indexed, slot 0 unused).
+    """Snapshot after one row: Q(1..n) in ``q``, the set's members in ``contents``.
 
     ``t_values`` holds only this row's matches, (row, j) -> T(row, j), so
     a run's snapshots hold O(R + m * n) values, not O(m * R).
     """
 
     row: int
-    h: tuple[int, ...]
     q: tuple[int, ...]
     contents: tuple[int, ...]
     t_values: dict[tuple[int, int], int]
@@ -140,7 +140,6 @@ class ShadowTracker:
         """The state after ``row``, whose matches gave ``t_values``."""
         return ShadowState(
             row=row,
-            h=tuple(self.h[1:]),
             q=tuple(self.q[1:]),
             contents=tuple(self.ts.contents()),
             t_values=t_values,
@@ -148,19 +147,19 @@ class ShadowTracker:
 
 
 def shadow_run(x: Sequence, y: Sequence) -> list[ShadowState]:
-    """Run the threshold driver with dense cross-checks after every row."""
+    """Sweep the threshold set over the planner's position lists of y; dense checks after each row."""
     limit = DEFAULT_SHADOW_LIMIT
     if len(x) > limit or len(y) > limit:
         raise ValueError(
             f"shadow mode is capped at {limit}x{limit}; got {len(x)}x{len(y)}"
         )
-    pl = build_position_lists(y)
+    lists = _plan(x, y, "array")[3]
     tracker = ShadowTracker(len(y))
     snapshots: list[ShadowState] = []
     prev_h: list[int] | None = None
     for i, sym in enumerate(x.symbols, start=1):
         tracker.ts.begin_row()
-        row_t = {(i, j): tracker.apply_match(i, j) for j in pl.lists.get(sym, ())}
+        row_t = {(i, j): tracker.apply_match(i, j) for j in lists.get(sym, ())}
         tracker.check_row(i, prev_h)
         prev_h = list(tracker.h)
         snapshots.append(tracker.snapshot(i, row_t))

@@ -14,12 +14,12 @@ contract over an ordered structure, which each backend supplies:
 
 They are the named ``--backend`` choices and the references the tests
 audit; ``make_threshold_set`` maps one of ``BACKEND_NAMES`` to its
-backend.  ``lcseq.core`` holds those names and ``OpCounters``, and
-imports this module only when a named set runs.  No set keeps operation
-counts: each update is one Succ, one Insert and at most one Delete, so
-``lcseq.core`` derives every backend's counts from R and L.  Queries use
-0 as the "no such element" sentinel, matching the positive-integer key
-space.
+backend.  ``lcseq.core`` holds those names (re-exported here) and
+``OpCounters``, and imports this module only when a named set runs.  No
+set keeps operation counts: each update is one Succ, one Insert and at
+most one Delete, so ``lcseq.core`` derives every backend's counts from R
+and L.  Queries use 0 as the "no such element" sentinel, matching the
+positive-integer key space.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import BACKEND_NAMES, OpCounters  # both re-exported
+from .core import BACKEND_NAMES  # re-exported
 
 if TYPE_CHECKING:
     from .bst import AvlTree

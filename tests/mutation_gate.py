@@ -200,6 +200,13 @@ MUTANTS = [
         "len(x) < DEFAULT_SHADOW_LIMIT",
         ["tests/test_cli.py::test_verify_runs_the_shadow_probe_up_to_its_limit"],
     ),
+    (
+        "M21: OpCounters.structure_total leaves out Delete",
+        "lcseq/core.py",
+        "return self.succ + self.pred + self.insert + self.delete",
+        "return self.succ + self.pred + self.insert",
+        ["tests/test_core.py::test_kernel_rows_equal_array_backend"],
+    ),
 ]
 
 

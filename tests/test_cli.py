@@ -224,6 +224,7 @@ def test_main_reuses_one_stateless_parser(tmp_path):
         ["length", fa, fb],
         ["subseq", str(la), str(lb), "--mode", "lines"],
         ["subseq", str(la), str(lb)],
+        ["length", str(la), str(lb), "--mode", "lines", "--backend", "bisect"],
         ["length", fa],
         ["length", fa, fb, "leftover"],
         ["length", fa, fb, "--mode", "words"],
@@ -237,7 +238,7 @@ def test_main_reuses_one_stateless_parser(tmp_path):
     results = json.loads(proc.stdout)
     # the first call builds the parser and its five subparsers; no later call builds one
     assert [built for *_, built in results] == [6] * len(runs)
-    assert [rc for rc, *_ in results] == [0, 0, 0, 0, 2, 2, 2, 0, 0]
+    assert [rc for rc, *_ in results] == [0, 0, 0, 0, 0, 2, 2, 2, 0, 0]
     for argv, (rc, stdout, stderr, _) in zip(runs, results):
         fresh = run_cli(*argv)
         assert rc == fresh.returncode, argv
@@ -509,6 +510,11 @@ def test_verify_lines_mode(tmp_path):
     proc = run_cli("verify", fa, fb, "--mode", "lines")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == b"ok: all backends agree, L = 2\n"
+    # y repeats its empty line and R = m: `auto` runs bisect on y's position lists
+    fa, fb = write_pair(tmp_path, b"a\n\nb\nc\n", b"a\n\nc\n\n")
+    proc = run_cli("verify", fa, fb, "--mode", "lines")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"ok: all backends agree, L = 3\n"
 
 
 def test_stats(tmp_path):
@@ -926,6 +932,12 @@ def test_bench_backend_selection():
     # three default sizes, two backends each
     assert len(rows) == 6
     assert {r["backend"] for r in rows} == {"veb", "array"}
+    # every name bench takes, the dense oracle included (`auto` rows name its kernel)
+    proc = run_cli("bench", "--n", "16", "--repeats", "1", "--backend", ",".join(BENCH_BACKENDS))
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(io.StringIO(proc.stdout.decode())))
+    assert len(rows) == 3 * len(BENCH_BACKENDS)
+    assert {r["backend"] for r in rows} == set(BENCH_BACKENDS) - {"auto"}
 
 
 def test_bench_disagreement_is_an_error_line():

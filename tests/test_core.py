@@ -14,6 +14,7 @@ from lcseq.core import (
     KERNEL_NAMES,
     LENGTH_BACKENDS,
     DpCapError,
+    OpCounters,
     ReconstructionCapError,
     TraceTable,
     _bisect_trace,
@@ -34,7 +35,7 @@ from lcseq import core
 from lcseq.matching import (
     MatchStats, Sequence, build_position_lists, column_map, count_matches, tokenize,
 )
-from lcseq.threshold import BACKEND_NAMES, ArrayBackend, OpCounters
+from lcseq.threshold import BACKEND_NAMES, ArrayBackend
 
 from helpers import brute_force_lcs_length, brute_force_matches, from_text
 
@@ -155,9 +156,12 @@ def test_kernel_rows_equal_array_backend():
             assert _threshold_rows(rows)[1:] == ts.contents(), (idx, i)
         # the replay's own replacements, not R - L, fix the Delete count
         replayed = OpCounters(succ=r, pred=0, insert=r, delete=deletes, update=r)
-        for b in LENGTH_BACKENDS:
-            assert lcs_length(x, y, backend=b).counters == replayed, (idx, b)
-        assert lcs_reconstruct(x, y).counters == replayed, idx
+        results = {b: lcs_length(x, y, backend=b) for b in LENGTH_BACKENDS}
+        results["reconstruct"] = lcs_reconstruct(x, y)
+        for b, res in results.items():
+            assert res.counters == replayed, (idx, b)
+            # the replay's own Succ + Insert + Delete
+            assert res.counters.structure_total() == 2 * r + deletes, (idx, b)
 
 
 def test_bitpar_rows_hand_back_the_array_set():

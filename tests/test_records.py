@@ -12,9 +12,8 @@ import pickle
 
 import pytest
 
-from lcseq.core import LcsResult, TraceTable
+from lcseq.core import LcsResult, OpCounters, TraceTable
 from lcseq.matching import MatchStats, PositionLists, Sequence
-from lcseq.threshold import OpCounters
 
 # (class, field names in order, defaults of the trailing fields, one set of values)
 RECORDS = [

@@ -4,6 +4,7 @@ from itertools import accumulate
 
 import pytest
 
+import lcseq.core
 from lcseq.core import dp_oracle
 from lcseq.matching import Sequence
 from lcseq.shadow import DEFAULT_SHADOW_LIMIT, InvariantViolation, ShadowTracker, shadow_run
@@ -91,6 +92,24 @@ def test_shadow_t_values_match_dp():
         for (i, j), t in t_values.items():
             assert x.symbols[i - 1] == y.symbols[j - 1]
             assert t == int(table[i][j])
+
+
+def test_shadow_run_takes_the_planners_lists(monkeypatch):
+    """``shadow_run`` sweeps the position lists that ``_plan`` builds, once, and builds none of its own."""
+    calls = []
+    build = lcseq.core.build_position_lists
+
+    def counted(y):
+        calls.append(y)
+        return build(y)
+
+    monkeypatch.setattr(lcseq.core, "build_position_lists", counted)
+    rng = random.Random(20)
+    x = Sequence(tuple(rng.randrange(4) for _ in range(20)))
+    y = Sequence(tuple(rng.randrange(4) for _ in range(20)))
+    snaps = shadow_run(x, y)
+    assert calls == [y]
+    assert snaps[-1].q[-1] == int(dp_oracle(x, y)[20][20])
 
 
 def test_shadow_run_memory_is_not_per_row_cumulative():
