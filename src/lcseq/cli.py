@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # the trace and dense-table caps, or a failed allocation
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (OSError, UnicodeEncodeError) as exc:  # unreadable input, unencodable output
+    except (OSError, UnicodeEncodeError, ImportError) as exc:  # unreadable input, unencodable output, no numpy
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:  # a failed self-check: bench disagreement, short or invalid LCS

@@ -2,8 +2,7 @@
 
 The tracker maintains, literally by definition, the per-column running
 maxima H and their prefix maxima Q while the compact threshold set
-processes the same matches; the break-point vector P is computed from Q,
-not kept beside it.  After every row it cross-checks the
+processes the same matches.  After every row it cross-checks the
 representations; any disagreement is reported with the offending row,
 column, and both values.  Desk-scale only.
 """
@@ -89,15 +88,6 @@ class ShadowTracker:
                 q[j] = k + 1
         return q
 
-    def break_points(self) -> list[int]:
-        """P from the stored Q: first column reaching each value, sentinel n+1 beyond max Q."""
-        p = [self.n + 1] * (self.n + 1)
-        for j in range(1, self.n + 1):
-            t = self.q[j]
-            if t >= 1 and p[t] == self.n + 1:
-                p[t] = j
-        return p
-
     def check_row(self, row: int, prev_h: list[int] | None) -> None:
         n = self.n
         # (a) Q is the prefix maximum of H
@@ -120,14 +110,6 @@ class ShadowTracker:
                 raise InvariantViolation(
                     "set-derived Q != dense Q", row, j, self.q[j], q_s[j]
                 )
-        # (c) break points equal the set contents padded with the sentinel
-        contents = self.ts.contents()
-        expected_p = contents + [n + 1] * (n - len(contents))
-        p = self.break_points()[1:]
-        if p != expected_p:
-            raise InvariantViolation(
-                "break points != set contents", row, 0, expected_p, p
-            )
         # (d) H never decreases row over row
         if prev_h is not None:
             for j in range(1, n + 1):

@@ -207,6 +207,20 @@ MUTANTS = [
         "return self.succ + self.pred + self.insert",
         ["tests/test_core.py::test_kernel_rows_equal_array_backend"],
     ),
+    (
+        "M22: the shadow set check catches only a set that runs ahead of the dense state",
+        "lcseq/shadow.py",
+        "if q_s[j] != self.q[j]:",
+        "if q_s[j] > self.q[j]:",
+        ["tests/test_shadow.py::test_check_row_detects_set_divergence"],
+    ),
+    (
+        "M23: main lets a missing numpy through as a traceback",
+        "lcseq/cli.py",
+        "except (OSError, UnicodeEncodeError, ImportError) as exc:",
+        "except (OSError, UnicodeEncodeError) as exc:",
+        ["tests/test_cli.py::test_missing_numpy_is_one_error_line"],
+    ),
 ]
 
 

@@ -624,6 +624,21 @@ def test_out_of_memory_is_resource_error(tmp_path):
     assert b"Traceback" not in proc.stderr
 
 
+def test_missing_numpy_is_one_error_line(tmp_path):
+    # only the dense oracle imports numpy; `length`, `subseq` and `stats` run without it
+    fa, fb = write_pair(tmp_path, b"abcbdab", b"bdcaba")
+    no_numpy = "sys.modules['numpy'] = None"
+    for argv in (["verify", fa, fb],
+                 ["bench", "--n", "8", "--repeats", "1", "--backend", "dp_oracle"]):
+        proc = _run_patched_cli(no_numpy, *argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith(b"error: ") and b"numpy" in proc.stderr, argv
+        assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr, argv
+    for kind in ("length", "subseq", "stats"):
+        proc = _run_patched_cli(no_numpy, kind, fa, fb)
+        assert proc.returncode == 0, (kind, proc.stderr)
+
+
 def test_verify_memory_cap(tmp_path):
     fa, fb = write_pair(tmp_path, b"aaaa", b"aaaa")
     proc = run_cli("verify", fa, fb, "--memory-cap", "8")

@@ -38,7 +38,6 @@ def test_prefix_max_pairing():
 
 def test_break_points_from_seeded_state():
     tracker = worked_example_tracker()
-    assert tracker.break_points()[1:] == [2, 3, 8, 8, 8, 8, 8]
     assert tracker.ts.contents() == [2, 3]
     assert tracker.q_from_contents()[1:] == [0, 1, 2, 2, 2, 2, 2]
 
@@ -153,10 +152,14 @@ def test_check_row_detects_h_decrease():
 
 
 def test_check_row_detects_set_divergence():
-    tracker = worked_example_tracker()
-    tracker.ts.update(5)  # set moves, dense state does not
-    with pytest.raises(InvariantViolation):
-        tracker.check_row(1, None)
+    ahead = worked_example_tracker()
+    ahead.ts.update(5)  # the set gains a member, the dense state does not
+    behind = worked_example_tracker()
+    behind.ts.tree.items.pop()  # the set loses its last member, the dense state does not
+    for tracker in (ahead, behind):
+        with pytest.raises(InvariantViolation) as exc:
+            tracker.check_row(1, None)
+        assert exc.value.what == "set-derived Q != dense Q"
 
 
 def test_shadow_size_limit():
