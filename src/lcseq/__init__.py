@@ -43,13 +43,7 @@ _EXPORTS = {
         "tokenize",
     ),
     "shadow": ("InvariantViolation", "ShadowState", "ShadowTracker", "shadow_run"),
-    "threshold": (
-        "ArrayBackend",
-        "ThresholdSet",
-        "TreeBackend",
-        "VebBackend",
-        "make_threshold_set",
-    ),
+    "threshold": ("ArrayBackend", "ThresholdSet", "make_threshold_set"),
     "veb": ("VebTree",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

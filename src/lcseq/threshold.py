@@ -4,40 +4,37 @@ The set holds strictly increasing integers in 1..capacity.  `update(x)`
 replaces the successor of x-1 (the smallest member >= x) with x when one
 exists, and appends x otherwise; the set therefore never shrinks and
 grows by at most one per update.  ``ThresholdSet`` is the one set
-contract over an ordered structure, which each backend supplies:
+contract, one class over the ordered structure its constructor takes;
+``make_threshold_set`` builds each named set, and is the one place that
+loads a tree module:
 
-* ``VebBackend``  - van Emde Boas tree, O(log log n) per operation.
-* ``TreeBackend`` - AVL tree, O(log size) per operation.
-* ``ArrayBackend``- sorted vector whose replace step is a per-row
-  downward scan: O(size) per row when updates within a row arrive in
-  strictly decreasing order (the paper's O(nL) vector).
+* ``veb``   - a ``ThresholdSet`` over a van Emde Boas tree, O(log log n)
+  per operation.
+* ``tree``  - a ``ThresholdSet`` over an AVL tree, O(log size) per
+  operation.
+* ``array`` - ``ArrayBackend``, a sorted vector whose replace step is a
+  per-row downward scan: O(size) per row when updates within a row
+  arrive in strictly decreasing order (the paper's O(nL) vector).
 
-They are the named ``--backend`` choices and the references the tests
-audit; ``make_threshold_set`` maps one of ``BACKEND_NAMES`` to its
-backend.  ``lcseq.core`` holds those names (re-exported here) and
-``OpCounters``, and imports this module only when a named set runs.  No
-set keeps operation counts: each update is one Succ, one Insert and at
-most one Delete, so ``lcseq.core`` derives every backend's counts from R
-and L.  Queries use 0 as the "no such element" sentinel, matching the
-positive-integer key space.
+They are the named ``--backend`` choices (``BACKEND_NAMES``) and the
+references the tests audit.  ``lcseq.core`` holds those names
+(re-exported here) and ``OpCounters``, and imports this module only
+when a named set runs.  No set keeps operation counts: each update is
+one Succ, one Insert and at most one Delete, so ``lcseq.core`` derives
+every backend's counts from R and L.  Queries use 0 as the "no such
+element" sentinel, matching the positive-integer key space.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .core import BACKEND_NAMES  # re-exported
-
-if TYPE_CHECKING:
-    from .bst import AvlTree
-    from .veb import VebTree
 
 __all__ = [
     "RowCost",
     "ThresholdSet",
-    "VebBackend",
-    "TreeBackend",
     "ArrayBackend",
     "make_threshold_set",
 ]
@@ -52,22 +49,21 @@ class RowCost(NamedTuple):
 
 
 class ThresholdSet:
-    """The ordered set DS over 1..capacity behind each named backend.
+    """The ordered set DS over 1..capacity, the paper's Update(S, x) over ``tree``.
 
     ``update``, ``succ``, ``pred``, ``max``, ``size`` and ``contents`` run
-    over ``self.tree``, an ordered integer set with ``successor`` and
-    ``predecessor`` (None when absent), ``max``, ``len`` and ascending
-    iteration.  Only this class range-checks its arguments.  A backend
-    changes only the replace step, ``_replace``, and may use the
-    row-boundary hint ``begin_row``.
+    over ``tree``, an empty ordered integer set that can hold 1..capacity,
+    with ``successor`` and ``predecessor`` (None when absent), ``insert``,
+    ``delete``, ``max``, ``len`` and ascending iteration.  Only this class
+    range-checks its arguments.  A subclass changes only the replace step,
+    ``_replace``, and may use the row-boundary hint ``begin_row``.
     """
 
-    tree: VebTree | AvlTree | _SortedVector
-
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, tree):
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
+        self.tree = tree
 
     def size(self) -> int:
         return len(self.tree)
@@ -117,26 +113,6 @@ class ThresholdSet:
         """Per-row cost records; only the array backend keeps them, the others give None."""
 
 
-class VebBackend(ThresholdSet):
-    """Threshold set on a van Emde Boas tree over universe capacity+1."""
-
-    def __init__(self, capacity: int):
-        from .veb import VebTree  # imported here: the default path builds no tree
-
-        super().__init__(capacity)
-        self.tree = VebTree(capacity + 1)
-
-
-class TreeBackend(ThresholdSet):
-    """Threshold set on an AVL tree."""
-
-    def __init__(self, capacity: int):
-        from .bst import AvlTree  # imported here: the default path builds no tree
-
-        super().__init__(capacity)
-        self.tree = AvlTree()
-
-
 class _SortedVector:
     """Sorted ints in ``items``; a wrapper, not a list subclass, so the array scan indexes fast."""
 
@@ -176,8 +152,7 @@ class ArrayBackend(ThresholdSet):
     """
 
     def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self.tree = _SortedVector()
+        super().__init__(capacity, _SortedVector())
         self._cursor = -1
         self._rows: list[list[int]] = []  # [alpha_start, updates, comparisons] per row
 
@@ -214,11 +189,16 @@ class ArrayBackend(ThresholdSet):
 
 
 def make_threshold_set(capacity: int, backend: str) -> ThresholdSet:
-    """Empty set over 1..capacity; classes are looked up at call time."""
+    """Empty named set over 1..capacity; the tree modules load here, and only when asked for."""
     if backend == "array":
         return ArrayBackend(capacity)
     if backend == "veb":
-        return VebBackend(capacity)
+        from .veb import VebTree
+
+        # keys 0..capacity; a capacity below 1 meets ThresholdSet's check, not the tree's
+        return ThresholdSet(capacity, VebTree(max(capacity, 0) + 1))
     if backend == "tree":
-        return TreeBackend(capacity)
+        from .bst import AvlTree
+
+        return ThresholdSet(capacity, AvlTree())
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")

@@ -10,7 +10,8 @@ from pathlib import Path
 
 from lcseq import core
 from lcseq.matching import MatchStats, Sequence, tokenize
-from lcseq.threshold import VebBackend
+from lcseq.threshold import ThresholdSet
+from lcseq.veb import VebTree
 
 
 def from_text(text: str) -> Sequence:
@@ -115,14 +116,17 @@ def reference_update(contents: list[int], x: int) -> int | None:
     return None
 
 
-class LiteralGuardVebBackend(VebBackend):
-    """vEB threshold set with the published pseudocode's guard k < Max(S).
+class LiteralGuardVebBackend(ThresholdSet):
+    """Threshold set over a vEB tree with the published pseudocode's guard k < Max(S).
 
     The guard skips the delete when the successor is the current maximum,
     so the set can over-grow.  Deliberately faulty: tests inject it to show
     that verification catches a wrong backend.  It changes only the
     replace step; ``ThresholdSet.update`` still range-checks.
     """
+
+    def __init__(self, capacity: int):
+        super().__init__(capacity, VebTree(capacity + 1))
 
     def _replace(self, x: int) -> int | None:
         k = self.tree.successor(x - 1)
@@ -153,11 +157,16 @@ def _run_patched_cli(patch: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def run_cli_with_literal_guard(*args: str) -> subprocess.CompletedProcess:
-    """`lcseq <args>` in a subprocess whose veb threshold sets are the faulty variant."""
+    """`lcseq <args>` in a subprocess whose veb threshold sets are the faulty variant.
+
+    ``lcs_length`` imports ``make_threshold_set`` when it runs, so the patch applies.
+    """
     return _run_patched_cli(
         "import lcseq.threshold\n"
         "from helpers import LiteralGuardVebBackend\n"
-        "lcseq.threshold.VebBackend = LiteralGuardVebBackend",
+        "make = lcseq.threshold.make_threshold_set\n"
+        "lcseq.threshold.make_threshold_set = lambda capacity, backend: (\n"
+        "    LiteralGuardVebBackend(capacity) if backend == 'veb' else make(capacity, backend))",
         *args,
     )
 

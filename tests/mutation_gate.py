@@ -221,6 +221,23 @@ MUTANTS = [
         "except (OSError, UnicodeEncodeError) as exc:",
         ["tests/test_cli.py::test_missing_numpy_is_one_error_line"],
     ),
+    (
+        "M24: make_threshold_set builds the veb set on an AVL tree",
+        "lcseq/threshold.py",
+        "from .veb import VebTree\n\n"
+        "        # keys 0..capacity; a capacity below 1 meets ThresholdSet's check, not the tree's\n"
+        "        return ThresholdSet(capacity, VebTree(max(capacity, 0) + 1))\n",
+        "from .bst import AvlTree\n\n"
+        "        return ThresholdSet(capacity, AvlTree())\n",
+        ["tests/test_threshold.py::test_make_threshold_set_takes_concrete_names"],
+    ),
+    (
+        "M25: run_bench times the named sets' first-use imports",
+        "lcseq/bench.py",
+        "            make_threshold_set(1, backend)\n",
+        "            pass\n",
+        ["tests/test_bench.py::test_run_bench_loads_numpy_before_timing_the_oracle[named_sets]"],
+    ),
 ]
 
 

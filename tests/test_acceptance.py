@@ -30,7 +30,7 @@ from lcseq.core import (
 )
 from lcseq.matching import Sequence, build_position_lists
 from lcseq.shadow import ShadowTracker, shadow_run
-from lcseq.threshold import VebBackend, make_threshold_set
+from lcseq.threshold import ThresholdSet, make_threshold_set
 from lcseq.veb import VebTree
 
 from helpers import CountedKey, SortedSetOracle, run_cli_with_literal_guard
@@ -95,7 +95,7 @@ def _counted_veb_length(x, y):
     with pytest.MonkeyPatch.context() as patch:
         for key, cls, name in (("succ", VebTree, "successor"), ("pred", VebTree, "predecessor"),
                                ("insert", VebTree, "insert"), ("delete", VebTree, "delete"),
-                               ("update", VebBackend, "update")):
+                               ("update", ThresholdSet, "update")):
             patch.setattr(cls, name, counting(key, getattr(cls, name)))
         res = lcs_length(x, y, backend="veb")
     return res, OpCounters(**calls)

@@ -11,7 +11,7 @@ import pytest
 from lcseq import bench, core
 from lcseq.core import DpCapError, lcs_length
 from lcseq.matching import MatchStats, build_position_lists, count_matches
-from lcseq.threshold import TreeBackend
+from lcseq.threshold import make_threshold_set
 
 
 def test_gen_sequence_deterministic():
@@ -126,7 +126,7 @@ def test_tree_backend_depth_bound_in_driver():
     case = bench.BenchCase("c", 256, 256, 2, 9)
     x, y = bench.gen_pair(case)
     pl = build_position_lists(y)
-    ts = TreeBackend(len(y))
+    ts = make_threshold_set(len(y), "tree")
     max_height = 0
     for sym in x.symbols:
         for j in pl.lists.get(sym, ()):
@@ -158,14 +158,33 @@ bench.run_bench([bench.BenchCase("c", 8, 8, 2, 0, backends=("dp_oracle",))], rep
 print(seen)
 """
 
+_NAMED_SET_PROBE = """\
+import sys
+from lcseq import bench
+seen = []
+length = bench.lcs_length
+def probe(x, y, backend):
+    seen.append(all(m in sys.modules for m in ("lcseq.threshold", "lcseq.veb", "lcseq.bst")))
+    return length(x, y, backend=backend)
+bench.lcs_length = probe
+bench.run_bench([bench.BenchCase("c", 8, 8, 2, 0, backends=("veb", "tree", "array"))], repeats=1)
+print(seen)
+"""
 
-def test_run_bench_loads_numpy_before_timing_the_oracle():
-    # dp_oracle imports numpy lazily; a timed call must not include that import
+
+@pytest.mark.parametrize(
+    "probe, seen",
+    [(_NUMPY_PROBE, b"[True]"), (_NAMED_SET_PROBE, b"[True, True, True]")],
+    ids=["numpy", "named_sets"],
+)
+def test_run_bench_loads_numpy_before_timing_the_oracle(probe, seen):
+    # dp_oracle imports numpy lazily, and a named set its modules when first
+    # built; a timed call must not include those imports
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE], capture_output=True, timeout=120
+        [sys.executable, "-c", probe], capture_output=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == b"[True]"
+    assert proc.stdout.strip() == seen
 
 
 def test_run_bench_disagreement_aborts(monkeypatch):
@@ -243,6 +262,9 @@ def test_wall_time_trend_advisory():
     records = bench.run_bench(cases, repeats=3)
     t0, t1 = records[0].time_ns, records[1].time_ns
     if t0 > 0 and t1 / t0 > 6:
-        warnings.warn(
-            f"advisory: veb time grew {t1 / t0:.1f}x per doubling (limit 6x)"
-        )
+        # a local filter keeps the advisory a warning under PYTHONWARNINGS=error
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.warn(
+                f"advisory: veb time grew {t1 / t0:.1f}x per doubling (limit 6x)"
+            )

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcseq.bst import AvlTree
 from lcseq.threshold import (
     BACKEND_NAMES,
     ArrayBackend,
     RowCost,
-    TreeBackend,
-    VebBackend,
+    ThresholdSet,
     make_threshold_set,
 )
+from lcseq.veb import VebTree
 
 from helpers import LiteralGuardVebBackend, reference_update
 
@@ -37,7 +38,13 @@ def test_new_is_empty(backend):
 
 
 def test_make_threshold_set_takes_concrete_names():
-    # `auto` is the kernel in lcseq.core, not a set; there is no default set
+    # each name builds its own structure; `auto` is the kernel in lcseq.core,
+    # not a set, and there is no default set
+    veb = make_threshold_set(8, "veb")
+    assert type(veb) is ThresholdSet and type(veb.tree) is VebTree
+    assert veb.tree.universe_bound > veb.capacity
+    tree = make_threshold_set(8, "tree")
+    assert type(tree) is ThresholdSet and type(tree.tree) is AvlTree
     assert isinstance(make_threshold_set(8, "array"), ArrayBackend)
     with pytest.raises(ValueError):
         make_threshold_set(8, "auto")
@@ -46,8 +53,16 @@ def test_make_threshold_set_takes_concrete_names():
 
 
 def test_new_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        make_threshold_set(0, "veb")
+    # the set's own check, before any structure's: every name, and direct construction
+    for capacity in (0, -1):
+        message = f"capacity must be positive, got {capacity}"
+        for backend in ALL_BACKENDS:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make_threshold_set(capacity, backend)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ThresholdSet(capacity, AvlTree())
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ArrayBackend(capacity)
     with pytest.raises(ValueError):
         make_threshold_set(7, "skiplist")
 
@@ -197,7 +212,7 @@ def test_array_row_cost_bound():
     """With decreasing columns per row, comparisons <= alpha + updates + 1."""
     n = 128
     rng = random.Random(3)
-    ts = ArrayBackend(n)
+    ts = make_threshold_set(n, "array")
     for _ in range(60):
         cols = sorted(rng.sample(range(1, n + 1), rng.randint(1, 20)), reverse=True)
         ts.begin_row()
@@ -228,7 +243,7 @@ def test_array_row_costs_pinned_on_mixed_stream():
         ops += sorted(rng.sample(range(1, 31), rng.randint(0, 6)), reverse=True)
         ops += [rng.randint(1, 30) for _ in range(rng.randint(0, 2))]
     assert ops[:4] == [12, 16, 16, None]
-    ts = ArrayBackend(30)
+    ts = make_threshold_set(30, "array")
     ref: list[int] = []
     for x in ops:
         if x is None:
@@ -245,7 +260,7 @@ def test_array_row_costs_pinned_on_mixed_stream():
 def test_array_out_of_order_updates_still_correct():
     n = 64
     rng = random.Random(17)
-    ts = ArrayBackend(n)
+    ts = make_threshold_set(n, "array")
     ref: list[int] = []
     for _ in range(800):
         x = rng.randint(1, n)
@@ -254,7 +269,7 @@ def test_array_out_of_order_updates_still_correct():
 
 
 def test_tree_backend_height_logarithmic():
-    ts = TreeBackend(4096)
+    ts = make_threshold_set(4096, "tree")
     for x in range(1, 4097):
         ts.update(x)
     size = ts.size()
@@ -264,7 +279,7 @@ def test_tree_backend_height_logarithmic():
 def test_literal_guard_is_faulty_on_witness():
     # successor equal to the maximum must still be replaced; the literal
     # pseudocode guard skips the delete and over-grows the set
-    good = VebBackend(2)
+    good = make_threshold_set(2, "veb")
     bad = LiteralGuardVebBackend(2)
     for ts in (good, bad):
         ts.update(2)
